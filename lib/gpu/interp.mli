@@ -9,15 +9,31 @@
     index order, and with [jobs > 1] they are spread over a persistent
     {!Domain_pool} in chunked self-scheduled fashion).
 
-    Every executed instruction bumps the {!Stats} counters. Determinism:
-    given the same memory contents and parameters the interpreter is fully
-    deterministic, and the parallel schedule returns bit-identical results
-    and stats to the sequential one — CTAs touch disjoint global regions
-    except through atomics (which are commutative for the operations the
-    code generator uses), and per-worker counters are summed, which is
-    order-independent. Global atomics take a mutex-striped path under
-    [jobs > 1]; registers and shared memory are CTA-private and stay
-    lock-free. See DESIGN.md "Parallel simulation". *)
+    Execution is {e block-compiled}: at each launch, once per worker, the
+    body is split into basic blocks (a block starts at pc 0, at every label
+    target and after every [Br]/[Brz]/[Brnz]/[Bar]/[Ret]/[Trap]) and each
+    block becomes an array of closures with its operands resolved:
+    register/immediate shapes are specialised, parameter and launch-shape
+    ([ntid], [nctaid]) registers the body never writes are folded to their
+    launch values, and a global access
+    whose base folds to a live buffer handle binds that buffer's backing
+    array once (an invalid handle still faults only when its instruction
+    executes). The interpreter counts block entries, one counter per block
+    per worker; the {!Stats} counters and the per-pc profile are both those
+    counts times each block's static contents. The instruction budget is
+    charged per block, and per instruction once the remaining budget no
+    longer covers a whole block, so exhaustion fires before exactly the
+    instruction it would under per-instruction charging.
+
+    Determinism: given the same memory contents and parameters the
+    interpreter is fully deterministic, and the parallel schedule returns
+    bit-identical results, stats and profiles to the sequential one — CTAs
+    touch disjoint global regions except through atomics (which are
+    commutative for the operations the code generator uses), and
+    per-worker block counts are summed, which is order-independent. Global
+    atomics take a mutex-striped path under [jobs > 1]; registers and
+    shared memory are CTA-private and stay lock-free. See DESIGN.md
+    "Parallel simulation". *)
 
 exception Runtime_error of Fault.t
 (** Raised on traps, out-of-bounds accesses, division by zero, invalid
@@ -44,7 +60,8 @@ val run :
     bounds executed instructions to catch runaway loops; each CTA gets an
     even slice ([max_instructions / grid], rounded up) so detection fires
     under any CTA schedule. [profile], when given (length >= body length),
-    receives one increment per instruction execution (see {!Profiler}).
+    receives each instruction's execution count, added in when the launch
+    completes (see {!Profiler}); a faulting launch leaves it untouched.
     [jobs] (default 1) is the number of worker domains executing CTAs;
     it is clamped to [grid]. When a parallel run faults, the error of the
     lowest faulting CTA index is surfaced — the same error a sequential
@@ -54,3 +71,13 @@ val run :
     adds wall-clock-only Worker-lane spans around each worker's CTA chunk
     when the tracer records events and has a wall clock; the simulated
     timeline is untouched (the executor owns the launch span). *)
+
+val with_launch_observer :
+  (Memory.t -> Kir.kernel -> params:int array -> grid:int -> cta:int -> unit) ->
+  (unit -> 'a) ->
+  'a
+(** [with_launch_observer f thunk] runs [thunk], calling [f] before every
+    {!run} it makes, after the launch arguments are validated and before
+    any instruction executes. Test support for differential checks: [f]
+    can replay the launch on a copy of memory. Launches [f] makes itself
+    are not observed. *)

@@ -1,6 +1,6 @@
 (** Dynamic kernel profiler: per-instruction execution counts.
 
-    Wraps {!Interp.run} with a counting hook and renders hot-spot
+    Wraps {!Interp.run}'s per-pc profile and renders hot-spot
     listings, the simulator's answer to nvprof. Used by the CLI's
     inspection paths and by developers chasing where a kernel's
     instructions actually go. *)
@@ -20,10 +20,10 @@ val run :
   grid:int ->
   cta:int ->
   t
-(** Like {!Interp.run} but also counts how often each instruction
-    executed (the interpreter is re-run under a counting shim; identical
-    semantics, deterministic — parallel runs keep per-worker count arrays
-    and sum them afterwards). *)
+(** Like {!Interp.run} but also returns how often each instruction
+    executed: the interpreter's basic-block entry counts spread over each
+    block's instructions (deterministic — parallel runs keep per-worker
+    count arrays and sum them afterwards). *)
 
 val hot_spots : ?top:int -> t -> (int * int * Kir.instr) list
 (** The [top] (default 10) most-executed instructions as

@@ -46,20 +46,22 @@ let reset t =
   t.atomics <- 0;
   t.barrier_waits <- 0
 
-let add acc x =
-  acc.instructions <- acc.instructions + x.instructions;
-  acc.alu_ops <- acc.alu_ops + x.alu_ops;
-  acc.branches <- acc.branches + x.branches;
-  acc.global_loads <- acc.global_loads + x.global_loads;
-  acc.global_load_bytes <- acc.global_load_bytes + x.global_load_bytes;
-  acc.global_stores <- acc.global_stores + x.global_stores;
-  acc.global_store_bytes <- acc.global_store_bytes + x.global_store_bytes;
-  acc.shared_loads <- acc.shared_loads + x.shared_loads;
-  acc.shared_load_bytes <- acc.shared_load_bytes + x.shared_load_bytes;
-  acc.shared_stores <- acc.shared_stores + x.shared_stores;
-  acc.shared_store_bytes <- acc.shared_store_bytes + x.shared_store_bytes;
-  acc.atomics <- acc.atomics + x.atomics;
-  acc.barrier_waits <- acc.barrier_waits + x.barrier_waits
+let add_scaled acc k x =
+  acc.instructions <- acc.instructions + (k * x.instructions);
+  acc.alu_ops <- acc.alu_ops + (k * x.alu_ops);
+  acc.branches <- acc.branches + (k * x.branches);
+  acc.global_loads <- acc.global_loads + (k * x.global_loads);
+  acc.global_load_bytes <- acc.global_load_bytes + (k * x.global_load_bytes);
+  acc.global_stores <- acc.global_stores + (k * x.global_stores);
+  acc.global_store_bytes <- acc.global_store_bytes + (k * x.global_store_bytes);
+  acc.shared_loads <- acc.shared_loads + (k * x.shared_loads);
+  acc.shared_load_bytes <- acc.shared_load_bytes + (k * x.shared_load_bytes);
+  acc.shared_stores <- acc.shared_stores + (k * x.shared_stores);
+  acc.shared_store_bytes <- acc.shared_store_bytes + (k * x.shared_store_bytes);
+  acc.atomics <- acc.atomics + (k * x.atomics);
+  acc.barrier_waits <- acc.barrier_waits + (k * x.barrier_waits)
+
+let add acc x = add_scaled acc 1 x
 
 let copy t =
   let c = create () in

@@ -1,7 +1,8 @@
 (** Dynamic event counters collected while interpreting KIR kernels.
 
-    The interpreter bumps these counters for every executed instruction; the
-    {!Timing} cost model then converts them into simulated cycles. Keeping
+    The interpreter derives them from basic-block execution counts (each
+    block's static per-entry counts times its entries); the {!Timing} cost
+    model then converts them into simulated cycles. Keeping
     raw event counts separate from the cost model lets experiments report
     both (e.g. Fig. 17 needs bytes, Fig. 18 needs memory cycles). *)
 
@@ -29,6 +30,9 @@ val reset : t -> unit
 
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
+
+val add_scaled : t -> int -> t -> unit
+(** [add_scaled acc k x] accumulates [k] times [x] into [acc]. *)
 
 val copy : t -> t
 

@@ -62,20 +62,33 @@ let compare_key schema ~key_arity a b =
 let compare_tuple schema a b =
   compare_key schema ~key_arity:(Schema.arity schema) a b
 
+(* Stable-sort a permutation of row indices over the flat array, comparing
+   key columns in place (floats as floats) with the index as the final
+   tie-break, then gather the rows once. *)
 let sort ~key_arity t =
-  let tuples = Array.init t.count (get t) in
-  let cmp = compare_key t.schema ~key_arity in
-  (* Array.sort is not stable; pair with the original index for stability *)
-  let indexed = Array.mapi (fun i tup -> (tup, i)) tuples in
-  Array.sort
-    (fun (a, ia) (b, ib) ->
-      let c = cmp a b in
-      if c <> 0 then c else Int.compare ia ib)
-    indexed;
-  let ar = arity t in
-  let data = Array.make (t.count * ar) 0 in
-  Array.iteri (fun i (tup, _) -> Array.blit tup 0 data (i * ar) ar) indexed;
-  { t with data }
+  let ar = arity t and data = t.data in
+  let is_float =
+    Array.init (max 0 (min key_arity ar)) (fun j ->
+        Dtype.is_float (Schema.dtype t.schema j))
+  in
+  let cmp i1 i2 =
+    let rec go j =
+      if j >= key_arity then Int.compare i1 i2
+      else
+        let a = data.((i1 * ar) + j) and b = data.((i2 * ar) + j) in
+        let c =
+          if is_float.(j) then Float.compare (Value.to_f32 a) (Value.to_f32 b)
+          else Int.compare a b
+        in
+        if c <> 0 then c else go (j + 1)
+    in
+    go 0
+  in
+  let perm = Array.init t.count Fun.id in
+  Array.stable_sort cmp perm;
+  let sorted = Array.make (t.count * ar) 0 in
+  Array.iteri (fun i src -> Array.blit data (src * ar) sorted (i * ar) ar) perm;
+  { t with data = sorted }
 
 let is_sorted ~key_arity t =
   let ok = ref true in

@@ -1,0 +1,276 @@
+(* Differential tests of the block-compiled interpreter against the
+   tree-walking oracle (Interp_oracle): every launch of the golden
+   workloads and of random plans is replayed on copies of device memory
+   under both, at jobs 1 and 4, and must agree on final memory, Stats,
+   per-pc profile, fault payload and the instruction at which the budget
+   runs out. Hand-built kernels pin the edge cases of block compilation. *)
+
+open Gpu_sim
+
+let device = Device.fermi_c2050
+
+(* A copy of [mem] with the same handles: live buffers with their words,
+   dead handles dead. *)
+let clone mem =
+  let live = Memory.live_buffers mem in
+  let top = List.fold_left (fun acc (h, _) -> max acc h) 0 live in
+  let m = Memory.create device in
+  for h = 1 to top do
+    let is_live = Memory.is_live mem h in
+    let words = if is_live then Memory.words mem h else 0 in
+    let bytes = if is_live then Memory.bytes mem h else 0 in
+    let h' = Memory.alloc m ~words ~bytes in
+    assert (h' = h);
+    if is_live then Array.blit (Memory.data mem h) 0 (Memory.data m h) 0 words
+    else Memory.free m h
+  done;
+  m
+
+let contents mem =
+  List.map (fun (h, _) -> (h, Array.copy (Memory.data mem h))) (Memory.live_buffers mem)
+
+type outcome =
+  | Done of Stats.t * int array
+  | Faulted of Fault.t
+  | Raised of string
+
+let outcome_str = function
+  | Done (s, _) -> Format.asprintf "ok (%a)" Stats.pp s
+  | Faulted f -> "fault: " ^ Fault.render f
+  | Raised e -> "exception: " ^ e
+
+let execute run mem (k : Kir.kernel) =
+  let profile = Array.make (max 1 (Kir.instr_count k)) 0 in
+  match run ~profile mem with
+  | stats -> Done (stats, profile)
+  | exception Fault.Error f -> Faulted f
+  | exception e -> Raised (Printexc.to_string e)
+
+let same_outcome a b =
+  match (a, b) with
+  | Done (s1, p1), Done (s2, p2) -> Stats.equal s1 s2 && p1 = p2
+  | Faulted f1, Faulted f2 -> Fault.equal f1 f2
+  | Raised e1, Raised e2 -> e1 = e2
+  | _ -> false
+
+(* Replay one launch under the oracle and under [Interp.run] at jobs 1
+   and 4. Memory is compared after every run that completed, and after a
+   fault at jobs 1 (the parallel schedule may have run other CTAs past
+   the faulting one). Returns the oracle's outcome. *)
+let check_launch ~what ?max_instructions mem k ~params ~grid ~cta =
+  let m0 = clone mem in
+  let expected =
+    execute
+      (fun ~profile m ->
+        Interp_oracle.run ?max_instructions ~profile m k ~params ~grid ~cta)
+      m0 k
+  in
+  let expected_mem = contents m0 in
+  List.iter
+    (fun jobs ->
+      let m = clone mem in
+      let got =
+        execute
+          (fun ~profile m ->
+            Interp.run ?max_instructions ~profile ~jobs m k ~params ~grid ~cta)
+          m k
+      in
+      let label =
+        Printf.sprintf "%s: %s jobs=%d budget=%s" what k.Kir.kname jobs
+          (match max_instructions with
+          | Some b -> string_of_int b
+          | None -> "default")
+      in
+      if not (same_outcome expected got) then
+        Alcotest.failf "%s: oracle %s, compiled %s" label (outcome_str expected)
+          (outcome_str got);
+      let compare_mem =
+        match got with Done _ -> true | _ -> jobs = 1
+      in
+      if compare_mem && contents m <> expected_mem then
+        Alcotest.failf "%s: final memory differs" label)
+    [ 1; 4 ];
+  expected
+
+(* Budgets that exhaust a launch at a few points: the first instructions
+   of the first CTA, and around the midpoint of an even per-CTA slice. *)
+let budget_probes ~grid ~total =
+  let per_cta = max 1 (total / grid) in
+  List.sort_uniq compare
+    (List.map (fun s -> s * grid) [ 1; 2; 3; 5; 8; (per_cta / 2) + 1; per_cta ])
+
+(* Observe every launch a run makes and check it; launches up to
+   [budget_limit] instructions also get the budget probes. *)
+let check_all_launches ~what ?(budget_limit = 200_000) run =
+  let launches = ref 0 in
+  Interp.with_launch_observer
+    (fun mem k ~params ~grid ~cta ->
+      incr launches;
+      match check_launch ~what mem k ~params ~grid ~cta with
+      | Done (stats, _) when stats.Stats.instructions <= budget_limit ->
+          List.iter
+            (fun max_instructions ->
+              ignore
+                (check_launch ~what ~max_instructions mem k ~params ~grid ~cta))
+            (budget_probes ~grid ~total:stats.Stats.instructions)
+      | _ -> ())
+    run;
+  Alcotest.(check bool) (what ^ " launched kernels") true (!launches > 0)
+
+let goldens () =
+  List.map
+    (fun (w : Tpch.Patterns.workload) ->
+      (w.Tpch.Patterns.name, w.Tpch.Patterns.plan, w.Tpch.Patterns.gen ~seed:5 ~rows:300))
+    (Tpch.Patterns.all () @ [ Tpch.Patterns.pattern_ab () ])
+  @ List.map
+      (fun (q : Tpch.Queries.query) ->
+        let db = Tpch.Datagen.generate ~seed:5 ~lineitems:300 in
+        (q.Tpch.Queries.qname, q.Tpch.Queries.plan, q.Tpch.Queries.bind db))
+      [ Tpch.Queries.q1; Tpch.Queries.q21 ]
+
+let test_goldens () =
+  let gs = goldens () in
+  Alcotest.(check int) "8 goldens" 8 (List.length gs);
+  List.iter
+    (fun (name, plan, bases) ->
+      check_all_launches ~what:name (fun () ->
+          let program = Weaver.Driver.compile plan in
+          ignore (Weaver.Runtime.run program bases ~mode:Weaver.Runtime.Resident)))
+    gs
+
+let test_random_plans () =
+  List.iter
+    (fun seed ->
+      let { Test_property.plan; bases; desc } = Test_property.build_random seed in
+      check_all_launches ~what:desc (fun () ->
+          let program = Weaver.Driver.compile plan in
+          ignore (Weaver.Runtime.run_result program bases ~mode:Weaver.Runtime.Resident)))
+    [ 3; 17; 101; 2024; 31337; 65535 ]
+
+(* --- edge cases ------------------------------------------------------------ *)
+
+let alloc mem words = Memory.alloc mem ~words ~bytes:(4 * words)
+
+let raw_kernel ?(params = 1) name body =
+  {
+    Kir.kname = name;
+    params;
+    reg_count = Kir.param_reg params + 4;
+    regs_per_thread = 8;
+    shared_words = 0;
+    shared_bytes = 0;
+    body;
+    labels = [||];
+    prov = Kir.no_prov;
+  }
+
+let fault_of f =
+  match f () with
+  | _ -> Alcotest.fail "expected a fault"
+  | exception Fault.Error e -> e
+
+(* One block of four stores and a Ret: budgets 1..6 exhaust before each
+   store in turn (or not at all), and the stores before the exhausting
+   instruction — and none after it — must have landed. *)
+let test_budget_mid_block () =
+  let out = Kir.param_reg 0 in
+  let st i = Kir.St { space = Global; base = Reg out; idx = Imm i; src = Imm (i + 1); width = 4 } in
+  let k = raw_kernel "stores" [| st 0; st 1; st 2; st 3; Ret |] in
+  for budget = 1 to 6 do
+    let mem = Memory.create device in
+    let buf = alloc mem 4 in
+    ignore (check_launch ~what:"mid-block" ~max_instructions:budget mem k ~params:[| buf |] ~grid:1 ~cta:1);
+    (match Interp.run ~max_instructions:budget mem k ~params:[| buf |] ~grid:1 ~cta:1 with
+    | _ -> Alcotest.(check bool) "completes only with budget > 5" true (budget > 5)
+    | exception Fault.Error (Fault.Budget_exhausted { kernel }) ->
+        Alcotest.(check string) "kernel named" "stores" kernel);
+    let landed = min 4 (budget - 1) in
+    Alcotest.(check (array int))
+      (Printf.sprintf "stores landed at budget %d" budget)
+      (Array.init 4 (fun i -> if i < landed then i + 1 else 0))
+      (Memory.data mem buf)
+  done
+
+(* [if tid < 0 then out[0] := param0[tid]]: the load's base folds to a
+   dead handle, but the load sits on a branch no thread takes, unless
+   [taken] flips the guard. *)
+let bad_handle_kernel ~taken =
+  let b = Kir_builder.create ~name:"bad_handle" ~params:2 () in
+  let open Kir_builder in
+  let cond = cmp b (if taken then Kir.Ge else Kir.Lt) tid (Kir.Imm 0) in
+  if_ b (Kir.Reg cond) (fun () ->
+      let v = ld b Kir.Global ~base:(param b 0) ~idx:tid ~width:4 in
+      st b Kir.Global ~base:(param b 1) ~idx:(Kir.Imm 0) ~src:(Kir.Reg v) ~width:4);
+  finish b
+
+let test_bad_handle_not_taken () =
+  let mem = Memory.create device in
+  let dead = alloc mem 1 and out = alloc mem 1 in
+  Memory.free mem dead;
+  let params = [| dead; out |] in
+  let k = bad_handle_kernel ~taken:false in
+  ignore (check_launch ~what:"untaken" mem k ~params ~grid:2 ~cta:4);
+  let stats = Interp.run mem k ~params ~grid:2 ~cta:4 in
+  Alcotest.(check int) "no global loads" 0 stats.Stats.global_loads;
+  let missing = 4242 in
+  ignore (Interp.run mem k ~params:[| missing; out |] ~grid:1 ~cta:1)
+
+let test_bad_handle_taken () =
+  let mem = Memory.create device in
+  let dead = alloc mem 1 and out = alloc mem 1 in
+  Memory.free mem dead;
+  let k = bad_handle_kernel ~taken:true in
+  List.iter
+    (fun h ->
+      let params = [| h; out |] in
+      ignore (check_launch ~what:"taken" mem k ~params ~grid:2 ~cta:4);
+      match fault_of (fun () -> Interp.run mem k ~params ~grid:2 ~cta:4) with
+      | Fault.Invalid_handle { kernel; handle } ->
+          Alcotest.(check string) "kernel" "bad_handle" kernel;
+          Alcotest.(check int) "handle" h handle
+      | f -> Alcotest.failf "unexpected fault %s" (Fault.render f))
+    [ dead; 4242 ]
+
+let test_fall_through_end () =
+  let k = raw_kernel ~params:0 "no_ret" [| Kir.Mov (Kir.param_reg 0, Imm 7) |] in
+  let mem = Memory.create device in
+  ignore (check_launch ~what:"fall-through" mem k ~params:[||] ~grid:1 ~cta:2);
+  match fault_of (fun () -> Interp.run mem k ~params:[||] ~grid:1 ~cta:2) with
+  | Fault.Invalid_launch { kernel; reason } ->
+      Alcotest.(check string) "kernel" "no_ret" kernel;
+      Alcotest.(check string) "message" "pc 1 out of range" reason
+  | f -> Alcotest.failf "unexpected fault %s" (Fault.render f)
+
+(* A trap whose [needed] operand is a parameter register (folded at
+   compile time) and one whose operand is computed per thread. *)
+let test_trap_needed () =
+  let trap = Fault.capacity_trap ~op:3 ~segment:1 ~which:Fault.Cap_staging ~have:16 () in
+  let p = Kir.param_reg 0 and t = Kir.param_reg 1 in
+  let folded = raw_kernel "trap_param" [| Kir.Trap (trap, Some (Reg p)) |] in
+  let computed =
+    raw_kernel "trap_tid"
+      [| Kir.Bin (Add, t, Reg Kir.reg_tid, Imm 100); Kir.Trap (trap, Some (Reg t)) |]
+  in
+  List.iter
+    (fun (k, needed) ->
+      let mem = Memory.create device in
+      ignore (check_launch ~what:"trap" mem k ~params:[| 37 |] ~grid:1 ~cta:3);
+      match fault_of (fun () -> Interp.run mem k ~params:[| 37 |] ~grid:1 ~cta:3) with
+      | Fault.Capacity_trap c ->
+          Alcotest.(check string) "kernel" k.Kir.kname c.kernel;
+          Alcotest.(check (option int)) "needed" (Some needed) c.needed;
+          Alcotest.(check int) "have" 16 c.have
+      | f -> Alcotest.failf "unexpected fault %s" (Fault.render f))
+    [ (folded, 37); (computed, 100) ]
+
+let suite =
+  [
+    Alcotest.test_case "goldens match the oracle" `Slow test_goldens;
+    Alcotest.test_case "random plans match the oracle" `Slow test_random_plans;
+    Alcotest.test_case "budget exhausted mid-block" `Quick test_budget_mid_block;
+    Alcotest.test_case "bad handle on untaken branch" `Quick
+      test_bad_handle_not_taken;
+    Alcotest.test_case "bad handle executed" `Quick test_bad_handle_taken;
+    Alcotest.test_case "fall-through past the end" `Quick test_fall_through_end;
+    Alcotest.test_case "trap needed operand" `Quick test_trap_needed;
+  ]

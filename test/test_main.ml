@@ -17,6 +17,7 @@ let () =
       ("harness", Test_harness.suite);
       ("runtime-paths", Test_runtime_paths.suite);
       ("parallel", Test_parallel.suite);
+      ("interp-diff", Test_interp_diff.suite);
       ("faults", Test_faults.suite);
       ("integrity", Test_integrity.suite);
       ("service", Test_service.suite);

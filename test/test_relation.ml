@@ -213,6 +213,46 @@ let prop_sort_idempotent =
       Relation.equal_multiset r (Relation.sort ~key_arity:1 r)
       && Relation.is_sorted ~key_arity:1 r)
 
+(* The flat index-permutation sort must reproduce a stable sort of the
+   tuples, ties included, over mixed int/float schemas (floats with
+   duplicates, signed zeros and NaN) keyed on a prefix of any length. *)
+let prop_sort_matches_stable_sort =
+  let gen =
+    QCheck.Gen.(
+      let* dts = list_size (int_range 1 4) (oneofl [ i32; Dtype.I64; Dtype.F32 ]) in
+      let* key_arity = int_range 1 (List.length dts) in
+      let value dt =
+        if Dtype.is_float dt then
+          map Value.of_f32 (oneofl [ 0.5; 1.0; -2.0; 0.0; -0.0; Float.nan ])
+        else int_range (-3) 3
+      in
+      let* rows =
+        list_size (int_bound 40) (flatten_l (List.map value dts))
+      in
+      return (dts, key_arity, rows))
+  in
+  let print (dts, key_arity, rows) =
+    Printf.sprintf "(%s) key_arity=%d [%s]"
+      (String.concat "," (List.map Dtype.to_string dts))
+      key_arity
+      (String.concat ";"
+         (List.map
+            (fun r -> String.concat "," (List.map string_of_int r))
+            rows))
+  in
+  QCheck.Test.make ~name:"sort = List.stable_sort on tuples" ~count:300
+    (QCheck.make ~print gen) (fun (dts, key_arity, rows) ->
+      let schema =
+        Schema.make (List.mapi (fun j dt -> (Printf.sprintf "c%d" j, dt)) dts)
+      in
+      let r = Relation.create schema (List.map Array.of_list rows) in
+      let expected =
+        List.stable_sort
+          (Relation.compare_key schema ~key_arity)
+          (Relation.to_list r)
+      in
+      Relation.to_list (Relation.sort ~key_arity r) = expected)
+
 let prop_union_commutative_keys =
   QCheck.Test.make ~name:"union key set is commutative" ~count:200
     (QCheck.pair arb_rel arb_rel) (fun (a, b) ->
@@ -286,6 +326,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_sort_idempotent;
+      prop_sort_matches_stable_sort;
       prop_union_commutative_keys;
       prop_intersect_subset;
       prop_difference_disjoint;
