@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test analyze bench-smoke soak explain check clean
+.PHONY: all build test analyze bench-smoke soak explain loc check clean
 
 all: build
 
@@ -42,6 +42,20 @@ explain: build
 	@test "$$(grep -c 'conservation: exact' _build/explain.txt)" -eq 8
 	@! grep -q 'conservation: VIOLATED' _build/explain.txt
 	@echo "explain: conservation exact on all 8 golden workloads"
+
+# Code size, tracked as a design measurement: lines per lib/ library and
+# the number of settable fields in Config.t and Service.config.
+loc:
+	@for d in lib/*/; do \
+	  printf '%6d %s\n' "$$(cat $$d*.ml $$d*.mli | wc -l)" "$$d"; \
+	done
+	@printf '%6d total\n' "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	@printf 'Config.t fields: %d\n' "$$(awk '/^type t = \{/ { f = 1; next } \
+	  f && /^\}/ { f = 0 } f && /^  [a-z_]+ :/ { n++ } END { print n }' \
+	  lib/weaver/config.ml)"
+	@printf 'Service.config fields: %d\n' "$$(awk '/^type config = \{/ { f = 1; next } \
+	  f && /^\}/ { f = 0 } f && /^  [a-z_]+ :/ { n++ } END { print n }' \
+	  lib/weaver/service.ml)"
 
 check: build test analyze explain bench-smoke
 

@@ -290,8 +290,6 @@ let service ~jobs ~quick () =
     (float_of_int stats.Weaver.Service.cancelled);
   record ~experiment:e ~metric:"pre_demotions"
     (float_of_int stats.Weaver.Service.pre_demotions);
-  record ~experiment:e ~metric:"breaker_trips"
-    (float_of_int stats.Weaver.Service.breaker_trips);
   record ~experiment:e ~metric:"p50_latency_cycles"
     stats.Weaver.Service.p50_latency_cycles;
   record ~experiment:e ~metric:"p95_latency_cycles"

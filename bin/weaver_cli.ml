@@ -968,7 +968,6 @@ let stats_json (s : Weaver.Service.stats) =
       Printf.sprintf "  \"pre_demotions\": %d,\n" s.Weaver.Service.pre_demotions;
       Printf.sprintf "  \"runtime_demotions\": %d,\n"
         s.Weaver.Service.runtime_demotions;
-      Printf.sprintf "  \"breaker_trips\": %d,\n" s.Weaver.Service.breaker_trips;
       Printf.sprintf "  \"hedges\": %d,\n" s.Weaver.Service.hedges;
       Printf.sprintf "  \"hedge_wins\": %d,\n" s.Weaver.Service.hedge_wins;
       Printf.sprintf "  \"hedge_losses\": %d,\n" s.Weaver.Service.hedge_losses;

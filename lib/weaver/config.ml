@@ -10,13 +10,9 @@ type t = {
   join_expansion : int;
   broadcast_cap : int;
   max_groups : int;
-  max_grid : int;
   input_sharing : bool;
   max_retries : int;
-  alloc_retries : int;
-  transfer_retries : int;
   retry_budget : int option;
-  selection_shared_fraction : float;
   jobs : int;
   faults : string option;
   deadline_cycles : float option;
@@ -25,9 +21,6 @@ type t = {
   integrity : bool;
   checkpoint : bool;
   checkpoint_budget_frac : float;
-  trace : bool;
-  trace_out : string option;
-  metrics_out : string option;
   attrib : bool;  (** per-operator cost attribution (EXPLAIN ANALYZE) *)
 }
 
@@ -42,13 +35,9 @@ let default =
     join_expansion = 2;
     broadcast_cap = 1024;
     max_groups = 512;
-    max_grid = 4096;
     input_sharing = true;
     max_retries = 10;
-    alloc_retries = 3;
-    transfer_retries = 3;
     retry_budget = None;
-    selection_shared_fraction = 1.0;
     jobs = 1;
     faults = None;
     deadline_cycles = None;
@@ -57,9 +46,6 @@ let default =
     integrity = true;
     checkpoint = false;
     checkpoint_budget_frac = 0.5;
-    trace = false;
-    trace_out = None;
-    metrics_out = None;
     attrib = false;
   }
 
@@ -70,8 +56,5 @@ let with_jobs t jobs =
 let budget t =
   {
     Qplan.Selection.max_regs_per_thread = t.device.Device.max_registers_per_thread;
-    max_shared_bytes =
-      int_of_float
-        (t.selection_shared_fraction
-        *. float_of_int t.device.Device.max_shared_mem_per_cta);
+    max_shared_bytes = t.device.Device.max_shared_mem_per_cta;
   }

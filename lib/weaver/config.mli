@@ -20,31 +20,21 @@ type t = {
   join_expansion : int;  (** join output rows per left input row budgeted *)
   broadcast_cap : int;  (** max rows of a PRODUCT's broadcast side *)
   max_groups : int;  (** aggregation hash-table capacity *)
-  max_grid : int;  (** CTA-count ceiling per kernel *)
   input_sharing : bool;  (** enable the §4.4 input-dependence extension *)
   max_retries : int;  (** capacity-overflow retries before giving up *)
-  alloc_retries : int;
-      (** retries of a failed (injected) device allocation before the
-          runtime demotes a Resident run to Streamed *)
-  transfer_retries : int;  (** retries of a failed (injected) PCIe copy *)
   retry_budget : int option;
       (** per-request recovery token budget. Every recovery action — a
-          capacity/alloc/transfer retry, a fission split, a
-          Resident->Streamed demotion — spends one token; when the budget
-          is exhausted the next action is vetoed with a typed
-          {!Gpu_sim.Fault.Budget_vetoed} ([Tokens_exhausted]) instead of
-          burning more device cycles. When a [deadline_cycles] budget is
-          also set, recovery additionally vetoes any action whose cost
-          estimate (the cycles the failed attempt consumed) cannot finish
-          before the deadline ([Deadline_too_close]) — fail fast rather
-          than start work that is doomed to miss. [None] (the default)
-          disables token accounting; the per-site retry caps above still
-          apply. *)
-  selection_shared_fraction : float;
-      (** Algorithm 2 closes a group when its estimated shared memory
-          exceeds this fraction of the per-CTA limit: groups that consume
-          the whole budget run one CTA per SM and starve latency hiding
-          (the paper's fused kernels use about half the 48 KB) *)
+          capacity/alloc/transfer retry, a fission split, a checkpoint
+          rollback, a Resident->Streamed demotion — spends one token;
+          when the budget is exhausted the next action is vetoed with a
+          typed {!Gpu_sim.Fault.Budget_vetoed} ([Tokens_exhausted])
+          instead of burning more device cycles. When a [deadline_cycles]
+          budget is also set, recovery additionally vetoes any action
+          whose cost estimate (the cycles it is expected to re-spend)
+          cannot finish before the deadline ([Deadline_too_close]) — fail
+          fast rather than start work that is doomed to miss. [None] (the
+          default) disables token accounting; the per-site retry caps
+          still apply (see {!Runtime}). *)
   jobs : int;
       (** worker domains executing CTAs per kernel launch (see
           {!Gpu_sim.Interp.run}); 1 = sequential. Results and merged stats
@@ -97,17 +87,6 @@ type t = {
           (the same footprint currency the service's admission estimate
           uses). Oldest snapshots are evicted first when the ledger
           overflows; a snapshot larger than the whole budget is skipped. *)
-  trace : bool;
-      (** collect a full span/event trace ({!Weaver_obs.Trace}) for the
-          run or batch. Off by default: the disabled tracer is the
-          zero-cost [Trace.none] handle. *)
-  trace_out : string option;
-      (** where to write the Chrome trace-event JSON export
-          ({!Weaver_obs.Chrome}); implies [trace]. Owned by the
-          CLI/service boundary — the runtime itself never does IO. *)
-  metrics_out : string option;
-      (** where to write the Prometheus text dump of the metrics registry
-          ({!Weaver_obs.Registry}); implies [trace]. *)
   attrib : bool;
       (** per-operator cost attribution (EXPLAIN ANALYZE): launches record
           their per-instruction execution profile and reduce it to
@@ -126,5 +105,5 @@ val with_jobs : t -> int -> t
     domain count unless [WEAVER_JOBS] overrides it). *)
 
 val budget : t -> Qplan.Selection.budget
-(** Algorithm 2's resource budget: the device register limit and
-    [selection_shared_fraction] of the shared-memory limit. *)
+(** Algorithm 2's resource budget: the device's register and per-CTA
+    shared-memory limits. *)

@@ -49,10 +49,10 @@ type mat = {
 
 (* The checkpoint ledger: verified segment outputs snapshotted host-side at
    publish time, so a recoverable fault can resume from the last verified
-   boundary instead of restarting the whole fused chain. Lives outside the
-   per-attempt state (like the saved_* counters) — entries survive failed
-   attempts; that is the whole point. Bounded by a fraction of device
-   memory (the admission footprint currency), oldest evicted first. *)
+   boundary instead of restarting the whole fused chain. Entries survive
+   failed attempts; that is the whole point. Bounded by a fraction of
+   device memory (the admission footprint currency), oldest evicted
+   first. *)
 type ckpt = {
   ck_on : bool;
   ck_budget : int;  (** bytes; ledger high-water mark *)
@@ -67,14 +67,17 @@ type ckpt = {
           replay-savings accounting credits *)
 }
 
-type st = {
+(* What one [run_result] call shares across its attempts: one injector,
+   one PCIe ledger and one checkpoint ledger, plus every counter a failed
+   attempt's work stays charged to, so a restarted attempt keeps counting
+   where the failed one stopped. *)
+type run = {
   program : program;
-  mem : Memory.t;
   pcie : Pcie.t;
   faults : Fault_inject.t;
   cancel : Cancel.t;
   trace : Weaver_obs.Trace.t;
-  mode : mode;
+  ckpt : ckpt;
   mutable reports : Executor.launch_report list;  (** reversed *)
   mutable kernel_cycles : float;  (** running sum over [reports] *)
   mutable retries : int;
@@ -85,7 +88,15 @@ type st = {
   mutable counterfactuals : Weaver_obs.Attrib.counterfactual list;
       (** reversed; per executed fused group, keyed by group name with
           replace-on-same-name so restart replays never double-count *)
-  ckpt : ckpt;
+  mutable replayed : float;  (** cycles re-spent after restarts *)
+  mutable replay_spared : float;  (** cycles the checkpoint ledger spared *)
+}
+
+(* one attempt: its own device memory and materializations *)
+type st = {
+  run : run;
+  mem : Memory.t;
+  mode : mode;
   restored : (int, unit) Hashtbl.t;
       (** op ids restored from the ledger this attempt; units whose every
           output is here are skipped (and must not count as consumers) *)
@@ -96,8 +107,9 @@ type st = {
           group (runtime re-selection), applied at publish time *)
 }
 
-let config st = st.program.config
+let config st = st.run.program.config
 let device st = (config st).Config.device
+let spent_cycles run = run.kernel_cycles +. Pcie.total_cycles run.pcie
 
 (* The per-query budget checkpoint: polls the cancellation token (client
    aborts, wall-clock watchdog) and compares simulated cycles spent so far
@@ -107,104 +119,104 @@ let device st = (config st).Config.device
    model, never on the host clock. Strictly greater-than, so a budget of
    exactly the run's cost completes; a non-positive budget fires at the
    first checkpoint. *)
-let check_budget st =
-  Cancel.check st.cancel;
-  match (config st).Config.deadline_cycles with
+let check_budget run =
+  Cancel.check run.cancel;
+  match run.program.config.Config.deadline_cycles with
   | None -> ()
   | Some limit ->
-      let spent = st.kernel_cycles +. Pcie.total_cycles st.pcie in
+      let spent = spent_cycles run in
       if spent > limit || limit <= 0.0 then
         Fault.raise_
           (Fault.Deadline_exceeded
              { kind = Fault.Deadline_cycles; limit; spent })
 
-let spent_cycles st = st.kernel_cycles +. Pcie.total_cycles st.pcie
-
 (* The recovery checkpoint, consulted before every recovery action (an
-   alloc/transfer/capacity retry, a fission split, a demotion restart).
-   Three gates, in order:
+   alloc/transfer/capacity retry, a fission split, a rollback, a
+   demotion). Three gates, in order:
    1. First-cancel-wins: a cancellation that has already landed on the
       token beats both the fault being recovered and any budget decision —
       recovery must never race past a client abort or watchdog.
    2. Token budget ([Config.retry_budget]): each action spends one token;
       an empty purse vetoes the action with a typed fault.
    3. Deadline-cost veto: with both a budget and a cycle deadline set, an
-      action whose estimate (the cycles the failed attempt just consumed —
-      the best deterministic predictor of the next attempt) exceeds the
-      remaining cycle budget is vetoed: fail fast instead of starting work
-      that is doomed to miss.
+      action whose estimate (what the action is expected to re-spend)
+      exceeds the remaining cycle budget is vetoed: fail fast instead of
+      starting work that is doomed to miss.
    All three depend only on the cost model and the schedule, never on the
    host clock, so vetoes are bit-deterministic. *)
-let spend_recovery_token st ~action ~estimate =
-  (match Cancel.cancelled st.cancel with
+let spend_recovery_token run ~action ~estimate =
+  (match Cancel.cancelled run.cancel with
   | Some f -> Fault.raise_ f
   | None -> ());
-  match (config st).Config.retry_budget with
+  match run.program.config.Config.retry_budget with
   | None -> ()
   | Some budget ->
       let veto reason =
-        Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
+        Weaver_obs.Trace.instant run.trace ~lane:Weaver_obs.Trace.Host
           "budget_veto"
           ~args:[ ("action", Weaver_obs.Trace.Str action) ];
         Fault.raise_ (Fault.Budget_vetoed { action; reason })
       in
-      if st.budget_spent >= budget then
-        veto (Fault.Tokens_exhausted { budget; spent = st.budget_spent });
-      (match (config st).Config.deadline_cycles with
+      if run.budget_spent >= budget then
+        veto (Fault.Tokens_exhausted { budget; spent = run.budget_spent });
+      (match run.program.config.Config.deadline_cycles with
       | Some limit ->
-          let remaining = limit -. spent_cycles st in
+          let remaining = limit -. spent_cycles run in
           if estimate > remaining then
             veto
               (Fault.Deadline_too_close
                  { estimated = estimate; remaining = Float.max remaining 0.0 })
       | None -> ());
-      st.budget_spent <- st.budget_spent + 1
+      run.budget_spent <- run.budget_spent + 1
+
+(* An in-attempt retry: pass the recovery gate, count it, mark it on the
+   trace. *)
+let count_retry st ~action ~estimate ?args event =
+  spend_recovery_token st.run ~action ~estimate;
+  st.run.retries <- st.run.retries + 1;
+  Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host event ?args
 
 let launch st kernel ~params ~grid ~cta =
   let r =
     Executor.launch ~timing:(config st).Config.timing
-      ~jobs:(config st).Config.jobs ~faults:st.faults ~cancel:st.cancel
-      ~trace:st.trace
+      ~jobs:(config st).Config.jobs ~faults:st.run.faults ~cancel:st.run.cancel
+      ~trace:st.run.trace
       ~attrib:(config st).Config.attrib
       (device st) st.mem kernel ~params ~grid ~cta
   in
-  st.reports <- r :: st.reports;
-  st.kernel_cycles <- st.kernel_cycles +. r.Executor.time.Timing.total_cycles;
-  check_budget st;
+  st.run.reports <- r :: st.run.reports;
+  st.run.kernel_cycles <-
+    st.run.kernel_cycles +. r.Executor.time.Timing.total_cycles;
+  check_budget st.run;
   r
 
-(* Policy: injected allocation and PCIe faults are transient — retry a
-   bounded number of times before escalating. A device OOM that survives
-   its retries escalates to Resident->Streamed demotion in [run]. *)
-let alloc_buf st ~label ~words ~bytes =
+(* Policy: injected allocation and PCIe faults are transient — retry
+   [transient_retries] times before escalating. A device OOM that survives
+   its retries escalates to Resident->Streamed demotion in [run_result]. *)
+let transient_retries = 3
+
+let retry_transient st ~action ~event f =
   let rec go tries =
-    try Memory.alloc ~label st.mem ~words ~bytes
+    try f ()
     with
-    | Fault.Error (Fault.Alloc_failure { injected = true; _ })
-      when tries < (config st).Config.alloc_retries
+    | Fault.Error
+        ( Fault.Alloc_failure { injected = true; _ }
+        | Fault.Transfer_failure { injected = true; _ } )
+      when tries < transient_retries
     ->
-      spend_recovery_token st ~action:"allocation retry" ~estimate:0.0;
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host "alloc_retry";
+      count_retry st ~action ~estimate:0.0 event;
       go (tries + 1)
   in
   go 0
 
+let alloc_buf st ~label ~words ~bytes =
+  retry_transient st ~action:"allocation retry" ~event:"alloc_retry"
+    (fun () -> Memory.alloc ~label st.mem ~words ~bytes)
+
 let transfer st dir ~bytes =
-  let rec go tries =
-    try ignore (Pcie.transfer st.pcie dir ~bytes)
-    with
-    | Fault.Error (Fault.Transfer_failure { injected = true; _ })
-      when tries < (config st).Config.transfer_retries
-    ->
-      spend_recovery_token st ~action:"transfer retry" ~estimate:0.0;
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
-        "transfer_retry";
-      go (tries + 1)
-  in
-  go 0;
-  check_budget st
+  retry_transient st ~action:"transfer retry" ~event:"transfer_retry"
+    (fun () -> ignore (Pcie.transfer st.run.pcie dir ~bytes));
+  check_budget st.run
 
 let synth_report ?ops st name stats =
   let time =
@@ -258,20 +270,21 @@ let synth_report ?ops st name stats =
       attrib;
     }
   in
-  st.reports <- r :: st.reports;
-  st.kernel_cycles <- st.kernel_cycles +. time.Timing.total_cycles;
+  st.run.reports <- r :: st.run.reports;
+  st.run.kernel_cycles <- st.run.kernel_cycles +. time.Timing.total_cycles;
   (* modelled work (host-side sorts, fallbacks) gets a Kernel-lane span
      too; the runtime owns its clock advance since no executor ran *)
   let module T = Weaver_obs.Trace in
-  (if T.active st.trace then begin
+  (if T.active st.run.trace then begin
      let sp =
-       T.span st.trace ~lane:T.Kernel name
-         ~args:(if T.recording st.trace then [ ("modelled", T.Int 1) ] else [])
+       T.span st.run.trace ~lane:T.Kernel name
+         ~args:
+           (if T.recording st.run.trace then [ ("modelled", T.Int 1) ] else [])
      in
-     T.advance st.trace time.Timing.total_cycles;
-     T.close st.trace sp
+     T.advance st.run.trace time.Timing.total_cycles;
+     T.close st.run.trace sp
    end);
-  check_budget st
+  check_budget st.run
 
 let mat_of_source st = function
   | Plan.Base i -> st.base_mats.(i)
@@ -362,8 +375,9 @@ let ensure_sorted st (m : mat) ~key_arity =
       (Ra_lib.Sort_model.synthetic_stats ~rows:m.rows ~schema:m.schema)
   end
 
-let clamp_grid st ~rows ~cap =
-  max 1 (min (config st).Config.max_grid ((rows + cap - 1) / cap))
+(* CTA-count ceiling per kernel *)
+let max_grid = 4096
+let clamp_grid ~rows ~cap = max 1 (min max_grid ((rows + cap - 1) / cap))
 
 (* verify-before-free: a flip must be caught while its buffer is still
    live, or the release would silently retire the evidence. This is the
@@ -406,7 +420,7 @@ let ckpt_overhead_bound = 0.04
    deferred (a later, larger prefix will absorb it); otherwise the oldest
    entries are evicted until the ledger fits. *)
 let snapshot st op_id (m : mat) =
-  let ck = st.ckpt in
+  let ck = st.run.ckpt in
   if ck.ck_on then begin
     let bytes = max 0 (m.rows * Schema.tuple_bytes m.schema) in
     let affordable =
@@ -420,7 +434,7 @@ let snapshot st op_id (m : mat) =
             *. d.Device.clock_ghz *. 1e9
           in
           d2h_cycles
-          <= ckpt_overhead_bound *. (spent_cycles st -. ck.ck_last_spent)
+          <= ckpt_overhead_bound *. (spent_cycles st.run -. ck.ck_last_spent)
     in
     if bytes <= ck.ck_budget && affordable then begin
       let rel = download st m in
@@ -432,8 +446,9 @@ let snapshot st op_id (m : mat) =
       ck.ck_entries <- ck.ck_entries @ [ (op_id, rel, bytes) ];
       ck.ck_bytes <- ck.ck_bytes + bytes;
       ck.ck_taken <- ck.ck_taken + 1;
-      ck.ck_last_spent <- spent_cycles st;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host "checkpoint"
+      ck.ck_last_spent <- spent_cycles st.run;
+      Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
+        "checkpoint"
         ~args:
           [
             ("op", Weaver_obs.Trace.Int op_id);
@@ -445,28 +460,12 @@ let snapshot st op_id (m : mat) =
             ck.ck_entries <- rest;
             ck.ck_bytes <- ck.ck_bytes - b;
             ck.ck_evicted <- ck.ck_evicted + 1;
-            Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
+            Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
               "checkpoint_evict"
         | [] -> ck.ck_bytes <- 0
       done
     end
   end
-
-let publish st op_id (m : mat) =
-  (match Hashtbl.find_opt st.pending_extra op_id with
-  | Some extra ->
-      m.remaining <- m.remaining + extra;
-      Hashtbl.remove st.pending_extra op_id
-  | None -> ());
-  (* segment-output adoption is a certification boundary *)
-  (match m.buf with Some b -> Memory.certify st.mem b | None -> ());
-  st.node_mats.(op_id) <- Some m;
-  snapshot st op_id m;
-  match st.mode with
-  | Streamed ->
-      ignore (download st m);
-      free_device st m
-  | Resident -> ()
 
 let unit_outputs = function
   | U_fused { ir; _ } -> List.map fst (Array.to_list ir.Fusion.outputs)
@@ -480,44 +479,59 @@ let unit_skipped st u =
   | [] -> false
   | outs -> List.for_all (Hashtbl.mem st.restored) outs
 
+let fused_inputs (ir : Fusion.t) =
+  Array.to_list (Array.map (fun (i : Fusion.input_info) -> i.source) ir.inputs)
+
+let unit_inputs = function
+  | U_fused { ir; _ } -> fused_inputs ir
+  | U_sort { source; _ } | U_unique { source; _ } | U_aggregate { source; _ }
+    ->
+      [ source ]
+
+(* how many units of this attempt read [src] *)
+let readers st src =
+  List.fold_left
+    (fun acc u ->
+      if
+        (not (unit_skipped st u))
+        && List.exists (Plan.equal_source src) (unit_inputs u)
+      then acc + 1
+      else acc)
+    0 st.run.program.units
+
 (* how many units read a node's output (sinks get a sentinel so their
    buffers survive until the end of the run) *)
 let consumer_units_of st op_id =
-  let uses_source srcs =
-    List.exists (Plan.equal_source (Plan.Node op_id)) srcs
+  readers st (Plan.Node op_id)
+  + if List.mem op_id (Plan.sinks st.run.program.plan) then 1 else 0
+
+(* adopt a unit's freshly produced device buffer as [op_id]'s result *)
+let publish st op_id ~schema ~rows buf =
+  let m =
+    {
+      schema;
+      rows;
+      buf = Some buf;
+      host = None;
+      remaining = consumer_units_of st op_id;
+    }
   in
-  let count =
-    List.fold_left
-      (fun acc u ->
-        if unit_skipped st u then acc
-        else
-          let srcs =
-            match u with
-            | U_fused { ir; _ } ->
-                Array.to_list
-                  (Array.map (fun (i : Fusion.input_info) -> i.source) ir.inputs)
-            | U_sort { source; _ } | U_unique { source; _ }
-            | U_aggregate { source; _ } ->
-                [ source ]
-          in
-          if uses_source srcs then acc + 1 else acc)
-      0 st.program.units
-  in
-  if List.exists (Int.equal op_id) (Plan.sinks st.program.plan) then count + 1
-  else count
+  (match Hashtbl.find_opt st.pending_extra op_id with
+  | Some extra ->
+      m.remaining <- m.remaining + extra;
+      Hashtbl.remove st.pending_extra op_id
+  | None -> ());
+  (* segment-output adoption is a certification boundary *)
+  Memory.certify st.mem buf;
+  st.node_mats.(op_id) <- Some m;
+  snapshot st op_id m;
+  match st.mode with
+  | Streamed ->
+      ignore (download st m);
+      free_device st m
+  | Resident -> ()
 
-(* --- fused groups --------------------------------------------------------- *)
-
-let optimize_kernels st (ks : Codegen.kernels) =
-  let o = Optimizer.optimize st.program.opt in
-  {
-    Codegen.partition = o ks.Codegen.partition;
-    compute = o ks.Codegen.compute;
-    scans = Array.map o ks.Codegen.scans;
-    gathers = Array.map o ks.Codegen.gathers;
-  }
-
-(* ---- static-analysis gate: woven KIR is certified before it runs ---- *)
+(* --- kernels: woven KIR is certified before it runs ---------------------- *)
 
 (* The shared-memory regions the layout budgeted for a fused compute
    kernel, so the analyzer can cross-check extents against the kernel's
@@ -562,27 +576,126 @@ let analyze_kernel ?(regions = []) ?trace (k : Kir.kernel) =
   Weaver_analysis.Analysis.analyze ?trace ~regions
     ~expected_regs:k.Kir.regs_per_thread k
 
-let gate_kernel st ?regions k =
-  if (config st).Config.analyze then begin
-    let report = analyze_kernel ?regions ~trace:st.trace k in
-    match Weaver_analysis.Analysis.gating report with
-    | [] -> ()
-    | d :: _ as ds ->
-        raise
-          (Fault.Error
-             (Fault.Static_rejected
-                {
-                  kernel = k.Kir.kname;
-                  count = List.length ds;
-                  first = Weaver_analysis.Diag.to_string d;
-                }))
-  end
+(* rows one aggregate CTA reduces *)
+let aggregate_slice cfg = cfg.Config.cap * 8
 
-let gate_fused st ~n_in (lay : Layout.t) (ks : Codegen.kernels) =
-  gate_kernel st ks.Codegen.partition;
-  gate_kernel st ~regions:(layout_regions lay ~n_in) ks.Codegen.compute;
-  Array.iter (gate_kernel st) ks.Codegen.scans;
-  Array.iter (gate_kernel st) ks.Codegen.gathers
+(* The raw (pre -O3) kernels one unit launches, each with the
+   shared-memory regions the analysis gate checks it against: fused
+   partition, compute, per-output scans then gathers; unique partition,
+   compute, scan, gather; aggregate partition, partial, final; none for a
+   modelled sort. [cfg] carries the unit's current capacities (a capacity
+   retry grows [cap], [max_groups] or the fused layout [lay], which
+   defaults to the one [cfg] computes). Execution, [kernels_source] and
+   [analyze_program] all build kernels here, so static analysis certifies
+   exactly what the gate certifies. *)
+let unit_kernels ?pivot ?lay cfg plan u =
+  let plain k = (k, []) in
+  let partition ~name ~schema ~key_arity ~cap =
+    Ra_lib.Partition_emit.emit ~name:(name ^ "_partition")
+      ~inputs:[ (Ra_lib.Partition_emit.Even, schema) ]
+      ~key_arity ~pivot:None ~cap
+  in
+  match u with
+  | U_fused { name; ir } ->
+      let lay =
+        match lay with Some l -> l | None -> Layout.compute cfg plan ir
+      in
+      let ks = Codegen.generate ?pivot cfg ~name ir lay in
+      plain ks.Codegen.partition
+      :: ( ks.Codegen.compute,
+           layout_regions lay ~n_in:(Array.length ir.Fusion.inputs) )
+      :: List.map plain
+           (Array.to_list ks.Codegen.scans @ Array.to_list ks.Codegen.gathers)
+  | U_sort _ -> []
+  | U_unique { op_id; key_arity; source } ->
+      let name = Printf.sprintf "unique%d" op_id
+      and schema = Plan.schema_of plan source
+      and cap = cfg.Config.cap in
+      List.map plain
+        [
+          partition ~name ~schema ~key_arity ~cap;
+          Ra_lib.Unique_emit.emit_compute ~op:op_id ~name:(name ^ "_compute")
+            ~schema ~key_arity ~cap ~stage_cap:cap ();
+          Ra_lib.Gather_emit.emit_scan_offsets ~name:(name ^ "_scan");
+          Ra_lib.Gather_emit.emit_gather ~name:(name ^ "_gather") ~schema
+            ~stage_cap:cap;
+        ]
+  | U_aggregate { op_id; source; lay } ->
+      let name = Printf.sprintf "aggregate%d" op_id
+      and g = cfg.Config.max_groups in
+      List.map plain
+        [
+          partition ~name ~schema:(Plan.schema_of plan source) ~key_arity:1
+            ~cap:(aggregate_slice cfg);
+          Ra_lib.Aggregate_emit.emit_partial ~op:op_id ~name:(name ^ "_partial")
+            lay ~max_groups:g ~stage_cap:g ();
+          Ra_lib.Aggregate_emit.emit_final ~op:op_id ~name:(name ^ "_final")
+            lay ~max_groups:g ~stage_cap:g ();
+        ]
+
+(* Certify a unit's raw kernels through the gate, then optimize them.
+   [op] retags a standalone unit's kernels: every kernel of it exists for
+   its one operator, partition included. *)
+let certify st ?op ks =
+  let o = Optimizer.optimize st.run.program.opt in
+  List.map
+    (fun (k, regions) ->
+      if (config st).Config.analyze then begin
+        let report = analyze_kernel ~regions ~trace:st.run.trace k in
+        match Weaver_analysis.Analysis.gating report with
+        | [] -> ()
+        | d :: _ as ds ->
+            raise
+              (Fault.Error
+                 (Fault.Static_rejected
+                    {
+                      kernel = k.Kir.kname;
+                      count = List.length ds;
+                      first = Weaver_analysis.Diag.to_string d;
+                    }))
+      end;
+      let k = o k in
+      match op with Some op -> Kir.retag [ op ] k | None -> k)
+    ks
+
+(* One unit's capacity-retry loop. Each attempt runs [body] on the
+   current sizing with [scratch] (registers a buffer freed when the
+   attempt ends) and [keep] (registers an output handed to the caller on
+   success, freed if the attempt fails), so retries never accumulate dead
+   buffers and the failure path leaks nothing. A capacity trap asks
+   [grow] for the next sizing — [grow] raises the unit's own escape
+   (fission, host fallback) when it cannot grow — then passes the
+   recovery gate with what the trapped attempt burned as its estimate. *)
+let with_capacity_retries st ~grow init body =
+  let rec attempt sizing tries =
+    let t0 = spent_cycles st.run in
+    let scratch = ref [] and kept = ref [] in
+    let track l b =
+      l := b :: !l;
+      b
+    in
+    let release l = List.iter (Memory.free st.mem) !l in
+    match body sizing ~scratch:(track scratch) ~keep:(track kept) with
+    | r ->
+        release scratch;
+        r
+    | exception e -> (
+        release scratch;
+        release kept;
+        match e with
+        | Interp.Runtime_error (Fault.Capacity_trap { which; segment; _ }) ->
+            let next = grow sizing ~which ~segment ~tries in
+            count_retry st ~action:"capacity retry"
+              ~estimate:(spent_cycles st.run -. t0)
+              ~args:
+                [ ("which", Weaver_obs.Trace.Str (Fault.show_capacity which)) ]
+              "capacity_retry";
+            attempt next (tries + 1)
+        | e -> raise e)
+  in
+  attempt init 0
+
+(* --- fused groups --------------------------------------------------------- *)
 
 (* Run the scan-then-gather tail for one output; returns the dense buffer
    and its row count. The scratch offsets (and, when a launch faults
@@ -627,9 +740,10 @@ exception Fallback_needed
    it executes host-side and is charged one full streaming pass, like the
    modelled SORT — a real system would switch algorithms there. *)
 let exec_fallback_node st ~name ~op_id ~consumed_sources =
-  Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host "host_fallback"
+  Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
+    "host_fallback"
     ~args:[ ("unit", Weaver_obs.Trace.Str name) ];
-  let plan = st.program.plan in
+  let plan = st.run.program.plan in
   let node = Plan.node plan op_id in
   let rels =
     List.map
@@ -662,14 +776,8 @@ let exec_fallback_node st ~name ~op_id ~consumed_sources =
   in
   Array.blit (Relation.data out) 0 (Memory.data st.mem buf) 0
     (Array.length (Relation.data out));
-  publish st op_id
-    {
-      schema = Relation.schema out;
-      rows = Relation.count out;
-      buf = Some buf;
-      host = None;
-      remaining = consumer_units_of st op_id;
-    };
+  publish st op_id ~schema:(Relation.schema out) ~rows:(Relation.count out)
+    buf;
   consume st consumed_sources
 
 (* Fig. 18 accounting: what materializing this group's internal edges
@@ -743,15 +851,15 @@ let counterfactual_of ~plan ~name ~in_rows (ir : Fusion.t) =
    a group under the same name; its counterfactual must not double-count *)
 let record_counterfactual st (cf : Weaver_obs.Attrib.counterfactual) =
   if (config st).Config.attrib then begin
-    st.counterfactuals <-
+    st.run.counterfactuals <-
       cf
       :: List.filter
            (fun (c : Weaver_obs.Attrib.counterfactual) ->
              c.cf_group <> cf.cf_group)
-           st.counterfactuals;
+           st.run.counterfactuals;
     let module T = Weaver_obs.Trace in
-    if T.recording st.trace then
-      T.instant st.trace ~lane:T.Attrib ("counterfactual:" ^ cf.cf_group)
+    if T.recording st.run.trace then
+      T.instant st.run.trace ~lane:T.Attrib ("counterfactual:" ^ cf.cf_group)
         ~args:
           [
             ("edges", T.Int cf.cf_edges);
@@ -763,15 +871,13 @@ let record_counterfactual st (cf : Weaver_obs.Attrib.counterfactual) =
 
 let exec_fallback st ~name (ir : Fusion.t) =
   exec_fallback_node st ~name ~op_id:(List.hd ir.op_ids)
-    ~consumed_sources:
-      (Array.to_list
-         (Array.map (fun (i : Fusion.input_info) -> i.source) ir.inputs))
+    ~consumed_sources:(fused_inputs ir)
 
 let rec exec_fused st ~name (ir : Fusion.t) =
-  Weaver_obs.Trace.with_span st.trace ~lane:Weaver_obs.Trace.Host
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
     ("weave:" ^ name)
   @@ fun () ->
-  let plan = st.program.plan in
+  let plan = st.run.program.plan in
   let n_in = Array.length ir.inputs in
   let n_out = Array.length ir.outputs in
   (* per-segment join-expansion overrides accumulated across retries *)
@@ -786,13 +892,48 @@ let rec exec_fused st ~name (ir : Fusion.t) =
     ir.inputs;
   (* cycles at unit entry: the fission estimate is everything this unit
      burned across its failed attempts *)
-  let unit_t0 = spent_cycles st in
-  let rec attempt ?fixed_cap cfg tries =
-    let attempt_t0 = spent_cycles st in
-    let infeasible () =
-      if List.length ir.op_ids >= 2 then raise (Needs_split cfg)
-      else raise Fallback_needed
-    in
+  let unit_t0 = spent_cycles st.run in
+  let give_up cfg =
+    if List.length ir.op_ids >= 2 then raise (Needs_split cfg)
+    else raise Fallback_needed
+  in
+  (* the tile capacity of the latest attempt's layout, which a retry pins *)
+  let cap = ref 0 in
+  let grow (_, cfg) ~which ~segment ~tries =
+    if tries >= (config st).Config.max_retries then give_up cfg;
+    (* scale the capacity the trap names *)
+    match (which : Fault.capacity) with
+    | Fault.Cap_groups ->
+        (Some !cap, { cfg with Config.max_groups = cfg.Config.max_groups * 2 })
+    | Fault.Cap_input_tile ->
+        (* a key range outgrew its tile: the binding constraint is the
+           longest key run, which is independent of the slice size — so
+           grow the slack factor faster than the capacity shrinks, keeping
+           total shared memory roughly flat while the absolute tile
+           capacity doubles each retry *)
+        ( Some (max 8 (!cap / 2)),
+          {
+            cfg with
+            Config.aux_factor = cfg.Config.aux_factor * 4;
+            broadcast_cap = cfg.Config.broadcast_cap * 2;
+          } )
+    | Fault.Cap_staging -> (
+        (* join/staging overflow: fan-out exceeded the expansion budget;
+           grow only the overflowing segment when the trap names one *)
+        match segment with
+        | Some si ->
+            let cur =
+              Option.value (Hashtbl.find_opt seg_exp si)
+                ~default:cfg.Config.join_expansion
+            in
+            Hashtbl.replace seg_exp si (cur * 2);
+            (Some !cap, cfg)
+        | None ->
+            ( Some !cap,
+              { cfg with Config.join_expansion = cfg.Config.join_expansion * 2 }
+            ))
+  in
+  let attempt (fixed_cap, cfg) ~scratch ~keep =
     let seg_expansion si =
       Option.value (Hashtbl.find_opt seg_exp si)
         ~default:cfg.Config.join_expansion
@@ -804,9 +945,10 @@ let rec exec_fused st ~name (ir : Fusion.t) =
       | exception Fusion.Infeasible _ when fixed_cap <> None -> (
           match Layout.compute ~seg_expansion cfg plan ir with
           | lay -> lay
-          | exception Fusion.Infeasible _ -> infeasible ())
-      | exception Fusion.Infeasible _ -> infeasible ()
+          | exception Fusion.Infeasible _ -> give_up cfg)
+      | exception Fusion.Infeasible _ -> give_up cfg
     in
+    cap := lay.Layout.cap;
     (* the pivot must be the largest keyed input so slice boundaries cut
        the big side into even cap-sized pieces *)
     let pivot =
@@ -823,10 +965,11 @@ let rec exec_fused st ~name (ir : Fusion.t) =
             ir.inputs;
           Some !best
     in
-    let kernels =
-      let raw = Codegen.generate ?pivot cfg ~name ir lay in
-      gate_fused st ~n_in lay raw;
-      optimize_kernels st raw
+    (* launch order: partition, compute, then output o's scan [2 + o] and
+       gather [2 + n_out + o] *)
+    let ks =
+      Array.of_list
+        (certify st (unit_kernels ?pivot ~lay cfg plan (U_fused { name; ir })))
     in
     let driving_rows =
       (* enough CTAs that the pivot's slices AND every even input's slices
@@ -842,154 +985,78 @@ let rec exec_fused st ~name (ir : Fusion.t) =
       | Some p -> max in_mats.(p).rows even_max
       | None -> even_max
     in
-    let grid = clamp_grid st ~rows:driving_rows ~cap:lay.Layout.cap in
-    let temps = ref [] in
-    let temp b = temps := b :: !temps; b in
-    (* on the trap path, already-gathered outputs are scratch too *)
-    let produced = ref [] in
-    let free_temps () =
-      List.iter (Memory.free st.mem) !temps;
-      temps := [];
-      List.iter (Memory.free st.mem) !produced;
-      produced := []
+    let grid = clamp_grid ~rows:driving_rows ~cap:lay.Layout.cap in
+    let bounds =
+      Array.init n_in (fun i ->
+          scratch
+            (alloc_buf st ~label:(Printf.sprintf "%s_bounds%d" name i)
+               ~words:(grid + 1) ~bytes:(4 * (grid + 1))))
     in
-    try
-      let bounds =
-        Array.init n_in (fun i ->
-            temp
-              (alloc_buf st ~label:(Printf.sprintf "%s_bounds%d" name i)
-                 ~words:(grid + 1) ~bytes:(4 * (grid + 1))))
-      in
-      let stagings =
-        Array.init n_out (fun o ->
-            let schema = snd ir.outputs.(o) in
-            let rows = grid * lay.Layout.out_caps.(o) in
-            temp
-              (alloc_buf st ~label:(Printf.sprintf "%s_staging%d" name o)
-                 ~words:(max 1 (rows * Schema.arity schema))
-                 ~bytes:(rows * Schema.tuple_bytes schema)))
-      in
-      let counts =
-        Array.init n_out (fun o ->
-            temp
-              (alloc_buf st ~label:(Printf.sprintf "%s_counts%d" name o)
-                 ~words:grid ~bytes:(4 * grid)))
-      in
-      let part_params =
-        Array.concat
-          [
-            Array.concat
-              (Array.to_list
-                 (Array.map (fun (m : mat) -> [| Option.get m.buf; m.rows |]) in_mats));
-            bounds;
-          ]
-      in
-      ignore (launch st kernels.Codegen.partition ~params:part_params ~grid ~cta:32);
-      let comp_params =
-        Array.concat
-          [
-            Array.map (fun (m : mat) -> Option.get m.buf) in_mats;
-            bounds;
-            stagings;
-            counts;
-          ]
-      in
-      ignore
-        (launch st kernels.Codegen.compute ~params:comp_params ~grid
-           ~cta:(config st).Config.cta_threads);
-      (* per-output gather *)
-      let outs =
-        Array.init n_out (fun o ->
-            let op_id, schema = ir.outputs.(o) in
-            let buf, rows =
-              scan_and_gather st
-                ~name:(Printf.sprintf "%s_out%d" name o)
-                ~scan_k:kernels.Codegen.scans.(o)
-                ~gather_k:kernels.Codegen.gathers.(o)
-                ~staging:stagings.(o) ~counts:counts.(o) ~grid ~schema
-            in
-            produced := buf :: !produced;
-            (op_id, schema, buf, rows))
-      in
-      (* post-launch input verification: injection hooks fire before the
-         interpreter reads, so inputs that verify clean here were clean for
-         every kernel of this unit — a corrupted input means the attempt's
-         outputs cannot be trusted and must not be published *)
-      Array.iter
-        (fun (mm : mat) -> check_mat st mm ~site:(name ^ "_inputs"))
-        in_mats;
-      produced := [];
-      free_temps ();
-      outs
-    with
-    (* anything that is not a capacity retry (deadline, cancellation, an
-       injected fault that escaped its own retries) aborts the attempt;
-       scratch must still be released so the failure path leaks nothing *)
-    | e
-      when not
-             (match e with
-             | Interp.Runtime_error (Fault.Capacity_trap _) -> true
-             | _ -> false) ->
-        free_temps ();
-        raise e
-    | Interp.Runtime_error (Fault.Capacity_trap cap_fault) ->
-      free_temps ();
-      if tries >= (config st).Config.max_retries then
-        if List.length ir.op_ids >= 2 then raise (Needs_split cfg)
-        else raise Fallback_needed;
-      spend_recovery_token st ~action:"capacity retry"
-        ~estimate:(spent_cycles st -. attempt_t0);
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
-        "capacity_retry"
-        ~args:
-          [ ("which", Weaver_obs.Trace.Str (Fault.show_capacity cap_fault.which)) ];
-      (* scale the capacity the trap names *)
-      match cap_fault.which with
-      | Fault.Cap_groups ->
-          attempt ~fixed_cap:lay.Layout.cap
-            { cfg with Config.max_groups = cfg.Config.max_groups * 2 }
-            (tries + 1)
-      | Fault.Cap_input_tile ->
-          (* a key range outgrew its tile: the binding constraint is the
-             longest key run, which is independent of the slice size — so
-             grow the slack factor faster than the capacity shrinks, keeping
-             total shared memory roughly flat while the absolute tile
-             capacity doubles each retry *)
-          attempt
-            ~fixed_cap:(max 8 (lay.Layout.cap / 2))
-            {
-              cfg with
-              Config.aux_factor = cfg.Config.aux_factor * 4;
-              broadcast_cap = cfg.Config.broadcast_cap * 2;
-            }
-            (tries + 1)
-      | Fault.Cap_staging -> (
-          (* join/staging overflow: fan-out exceeded the expansion budget;
-             grow only the overflowing segment when the trap names one *)
-          match cap_fault.segment with
-          | Some si ->
-              let cur =
-                Option.value (Hashtbl.find_opt seg_exp si)
-                  ~default:cfg.Config.join_expansion
-              in
-              Hashtbl.replace seg_exp si (cur * 2);
-              attempt ~fixed_cap:lay.Layout.cap cfg (tries + 1)
-          | None ->
-              attempt ~fixed_cap:lay.Layout.cap
-                {
-                  cfg with
-                  Config.join_expansion = cfg.Config.join_expansion * 2;
-                }
-                (tries + 1))
+    let stagings =
+      Array.init n_out (fun o ->
+          let schema = snd ir.outputs.(o) in
+          let rows = grid * lay.Layout.out_caps.(o) in
+          scratch
+            (alloc_buf st ~label:(Printf.sprintf "%s_staging%d" name o)
+               ~words:(max 1 (rows * Schema.arity schema))
+               ~bytes:(rows * Schema.tuple_bytes schema)))
+    in
+    let counts =
+      Array.init n_out (fun o ->
+          scratch
+            (alloc_buf st ~label:(Printf.sprintf "%s_counts%d" name o)
+               ~words:grid ~bytes:(4 * grid)))
+    in
+    let part_params =
+      Array.concat
+        [
+          Array.concat
+            (Array.to_list
+               (Array.map (fun (m : mat) -> [| Option.get m.buf; m.rows |]) in_mats));
+          bounds;
+        ]
+    in
+    ignore (launch st ks.(0) ~params:part_params ~grid ~cta:32);
+    let comp_params =
+      Array.concat
+        [
+          Array.map (fun (m : mat) -> Option.get m.buf) in_mats;
+          bounds;
+          stagings;
+          counts;
+        ]
+    in
+    ignore
+      (launch st ks.(1) ~params:comp_params ~grid
+         ~cta:(config st).Config.cta_threads);
+    (* per-output gather *)
+    let outs =
+      Array.init n_out (fun o ->
+          let op_id, schema = ir.outputs.(o) in
+          let buf, rows =
+            scan_and_gather st
+              ~name:(Printf.sprintf "%s_out%d" name o)
+              ~scan_k:ks.(2 + o) ~gather_k:ks.(2 + n_out + o)
+              ~staging:stagings.(o) ~counts:counts.(o) ~grid ~schema
+          in
+          (op_id, schema, keep buf, rows))
+    in
+    (* post-launch input verification: injection hooks fire before the
+       interpreter reads, so inputs that verify clean here were clean for
+       every kernel of this unit — a corrupted input means the attempt's
+       outputs cannot be trusted and must not be published *)
+    Array.iter
+      (fun (mm : mat) -> check_mat st mm ~site:(name ^ "_inputs"))
+      in_mats;
+    outs
   in
-  match attempt (config st) 0 with
+  match with_capacity_retries st ~grow (None, config st) attempt with
   | outs -> (
       (* the group's kernels ran: its fusion counterfactual is evidence
          now, whatever publishing does *)
       if (config st).Config.attrib then
         record_counterfactual st
-          (counterfactual_of ~plan:st.program.plan ~name
+          (counterfactual_of ~plan:st.run.program.plan ~name
              ~in_rows:(Array.map (fun (m : mat) -> m.rows) in_mats)
              ir);
       (* publish outputs, then release inputs. If publishing itself fails
@@ -998,21 +1065,9 @@ let rec exec_fused st ~name (ir : Fusion.t) =
          published ones are the run-level cleanup's responsibility. *)
       try
         Array.iter
-          (fun (op_id, schema, buf, rows) ->
-            let m =
-              {
-                schema;
-                rows;
-                buf = Some buf;
-                host = None;
-                remaining = consumer_units_of st op_id;
-              }
-            in
-            publish st op_id m)
+          (fun (op_id, schema, buf, rows) -> publish st op_id ~schema ~rows buf)
           outs;
-        consume st
-          (Array.to_list
-             (Array.map (fun (i : Fusion.input_info) -> i.source) ir.inputs))
+        consume st (fused_inputs ir)
       with e ->
         Array.iter
           (fun (op_id, _, buf, _) ->
@@ -1024,10 +1079,11 @@ let rec exec_fused st ~name (ir : Fusion.t) =
       (* fission fallback: split the group under the grown resource
          estimate and execute the pieces; each piece retries (and may
          split again) independently *)
-      spend_recovery_token st ~action:"fission"
-        ~estimate:(spent_cycles st -. unit_t0);
-      st.fissions <- st.fissions + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host "fission"
+      spend_recovery_token st.run ~action:"fission"
+        ~estimate:(spent_cycles st.run -. unit_t0);
+      st.run.fissions <- st.run.fissions + 1;
+      Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
+        "fission"
         ~args:[ ("group", Weaver_obs.Trace.Str name) ];
       let subgroups =
         Selection.select ~plan
@@ -1100,7 +1156,7 @@ let rec exec_fused st ~name (ir : Fusion.t) =
 (* --- kernel-dependence units ---------------------------------------------- *)
 
 let exec_sort st ~op_id ~key_arity ~source =
-  Weaver_obs.Trace.with_span st.trace ~lane:Weaver_obs.Trace.Host
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
     (Printf.sprintf "sort%d" op_id)
   @@ fun () ->
   let m = mat_of_source st source in
@@ -1127,18 +1183,11 @@ let exec_sort st ~op_id ~key_arity ~source =
    with e ->
      Memory.free st.mem out;
      raise e);
-  publish st op_id
-    {
-      schema = m.schema;
-      rows = m.rows;
-      buf = Some out;
-      host = None;
-      remaining = consumer_units_of st op_id;
-    };
+  publish st op_id ~schema:m.schema ~rows:m.rows out;
   consume st [ source ]
 
 let exec_unique st ~op_id ~key_arity ~source =
-  Weaver_obs.Trace.with_span st.trace ~lane:Weaver_obs.Trace.Host
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
     (Printf.sprintf "unique%d" op_id)
   @@ fun () ->
   let m = mat_of_source st source in
@@ -1146,228 +1195,146 @@ let exec_unique st ~op_id ~key_arity ~source =
   ensure_sorted st m ~key_arity;
   let cfg = config st in
   let name = Printf.sprintf "unique%d" op_id in
-  let o = Optimizer.optimize st.program.opt in
+  let u = U_unique { op_id; key_arity; source } in
   (* the flags scratch (one shared word per row) bounds how far the slice
      capacity can grow on retries *)
   let max_cap =
     max cfg.Config.cap (cfg.Config.device.Device.max_shared_mem_per_cta / 8)
   in
-  let rec attempt cap tries =
-    let attempt_t0 = spent_cycles st in
-    let grid = clamp_grid st ~rows:m.rows ~cap in
-    (* every kernel of a standalone unit exists for its one operator:
-       attribute all of them (partition included) to [op_id] *)
-    let certify k =
-      gate_kernel st k;
-      Kir.retag [ op_id ] (o k)
-    in
-    let partition =
-      certify
-        (Ra_lib.Partition_emit.emit ~name:(name ^ "_partition")
-           ~inputs:[ (Ra_lib.Partition_emit.Even, m.schema) ]
-           ~key_arity ~pivot:None ~cap)
-    in
-    let compute =
-      certify
-        (Ra_lib.Unique_emit.emit_compute ~op:op_id ~name:(name ^ "_compute")
-           ~schema:m.schema ~key_arity ~cap ~stage_cap:cap ())
-    in
-    let scan_k =
-      certify (Ra_lib.Gather_emit.emit_scan_offsets ~name:(name ^ "_scan"))
-    in
-    let gather_k =
-      certify
-        (Ra_lib.Gather_emit.emit_gather ~name:(name ^ "_gather")
-           ~schema:m.schema ~stage_cap:cap)
-    in
-    let temps = ref [] in
-    let temp b = temps := b :: !temps; b in
-    let free_temps () = List.iter (Memory.free st.mem) !temps; temps := [] in
-    try
-      let bounds =
-        temp
-          (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
-             ~bytes:(4 * (grid + 1)))
-      in
-      let staging =
-        temp
-          (alloc_buf st ~label:(name ^ "_staging")
-             ~words:(max 1 (grid * cap * Schema.arity m.schema))
-             ~bytes:(grid * cap * Schema.tuple_bytes m.schema))
-      in
-      let counts =
-        temp (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
-      in
-      let buf = Option.get m.buf in
-      ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
-      ignore
-        (launch st compute
-           ~params:[| buf; bounds; staging; counts |]
-           ~grid ~cta:cfg.Config.cta_threads);
-      let out, rows =
-        scan_and_gather st ~name ~scan_k ~gather_k ~staging ~counts ~grid
-          ~schema:m.schema
-      in
-      (* post-launch input verification (see exec_fused) *)
-      (try check_mat st m ~site:(name ^ "_input")
-       with e ->
-         Memory.free st.mem out;
-         raise e);
-      free_temps ();
-      (out, rows)
-    with
-    | e
-      when not
-             (match e with
-             | Interp.Runtime_error (Fault.Capacity_trap _) -> true
-             | _ -> false) ->
-        free_temps ();
-        raise e
-    | Interp.Runtime_error (Fault.Capacity_trap _) ->
-      free_temps ();
-      (* a key run outgrew the slice: double the slice until the flags
-         scratch no longer fits shared memory, then run host-side *)
-      let next = min (cap * 2) max_cap in
-      if next <= cap || tries >= cfg.Config.max_retries then
-        raise Fallback_needed;
-      spend_recovery_token st ~action:"capacity retry"
-        ~estimate:(spent_cycles st -. attempt_t0);
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
-        "capacity_retry";
-      attempt next (tries + 1)
+  (* a key run outgrew the slice: double the slice until the flags
+     scratch no longer fits shared memory, then run host-side *)
+  let grow (c : Config.t) ~which:_ ~segment:_ ~tries =
+    let next = min (c.Config.cap * 2) max_cap in
+    if next <= c.Config.cap || tries >= cfg.Config.max_retries then
+      raise Fallback_needed;
+    { c with Config.cap = next }
   in
-  match attempt cfg.Config.cap 0 with
+  let attempt (c : Config.t) ~scratch ~keep =
+    let cap = c.Config.cap in
+    let grid = clamp_grid ~rows:m.rows ~cap in
+    let partition, compute, scan_k, gather_k =
+      match certify st ~op:op_id (unit_kernels c st.run.program.plan u) with
+      | [ p; c; s; g ] -> (p, c, s, g)
+      | _ -> assert false
+    in
+    let bounds =
+      scratch
+        (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
+           ~bytes:(4 * (grid + 1)))
+    in
+    let staging =
+      scratch
+        (alloc_buf st ~label:(name ^ "_staging")
+           ~words:(max 1 (grid * cap * Schema.arity m.schema))
+           ~bytes:(grid * cap * Schema.tuple_bytes m.schema))
+    in
+    let counts =
+      scratch
+        (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
+    in
+    let buf = Option.get m.buf in
+    ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
+    ignore
+      (launch st compute
+         ~params:[| buf; bounds; staging; counts |]
+         ~grid ~cta:cfg.Config.cta_threads);
+    let out, rows =
+      scan_and_gather st ~name ~scan_k ~gather_k ~staging ~counts ~grid
+        ~schema:m.schema
+    in
+    ignore (keep out);
+    (* post-launch input verification (see exec_fused) *)
+    check_mat st m ~site:(name ^ "_input");
+    (out, rows)
+  in
+  match with_capacity_retries st ~grow cfg attempt with
   | exception Fallback_needed ->
       exec_fallback_node st ~name ~op_id ~consumed_sources:[ source ]
   | out, rows ->
-      publish st op_id
-        {
-          schema = m.schema;
-          rows;
-          buf = Some out;
-          host = None;
-          remaining = consumer_units_of st op_id;
-        };
+      publish st op_id ~schema:m.schema ~rows out;
       consume st [ source ]
 
 let exec_aggregate st ~op_id ~source ~(lay : Ra_lib.Aggregate_emit.layout) =
-  Weaver_obs.Trace.with_span st.trace ~lane:Weaver_obs.Trace.Host
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
     (Printf.sprintf "aggregate%d" op_id)
   @@ fun () ->
   let m = mat_of_source st source in
   ignore (upload st m);
   let cfg = config st in
   let name = Printf.sprintf "aggregate%d" op_id in
-  let o = Optimizer.optimize st.program.opt in
+  let u = U_aggregate { op_id; source; lay } in
   (* the CTA table must fit shared memory; leave room for rounding *)
   let fit_cap =
     max 1
       (cfg.Config.device.Device.max_shared_mem_per_cta * 3 / 4
       / max 1 (Schema.tuple_bytes lay.Ra_lib.Aggregate_emit.partial_schema))
   in
-  let rec attempt max_groups tries =
-    let attempt_t0 = spent_cycles st in
-    let slice = cfg.Config.cap * 8 in
-    let grid = clamp_grid st ~rows:m.rows ~cap:slice in
-    (* see exec_unique: a standalone unit's kernels all belong to its op *)
-    let certify k =
-      gate_kernel st k;
-      Kir.retag [ op_id ] (o k)
-    in
-    let partition =
-      certify
-        (Ra_lib.Partition_emit.emit ~name:(name ^ "_partition")
-           ~inputs:[ (Ra_lib.Partition_emit.Even, m.schema) ]
-           ~key_arity:1 ~pivot:None ~cap:slice)
-    in
-    let partial =
-      certify
-        (Ra_lib.Aggregate_emit.emit_partial ~op:op_id ~name:(name ^ "_partial")
-           lay ~max_groups ~stage_cap:max_groups ())
-    in
-    let final =
-      certify
-        (Ra_lib.Aggregate_emit.emit_final ~op:op_id ~name:(name ^ "_final") lay
-           ~max_groups ~stage_cap:max_groups ())
-    in
-    let partial_ar = Schema.arity lay.Ra_lib.Aggregate_emit.partial_schema in
-    let temps = ref [] in
-    let temp b = temps := b :: !temps; b in
-    (* the result buffer survives success but must not leak across retries *)
-    let result = ref None in
-    let free_temps () =
-      List.iter (Memory.free st.mem) !temps;
-      temps := [];
-      (match !result with Some b -> Memory.free st.mem b | None -> ());
-      result := None
-    in
-    try
-      let bounds =
-        temp
-          (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
-             ~bytes:(4 * (grid + 1)))
-      in
-      let staging =
-        temp
-          (alloc_buf st ~label:(name ^ "_staging")
-             ~words:(max 1 (grid * max_groups * partial_ar))
-             ~bytes:
-               (grid * max_groups
-               * Schema.tuple_bytes lay.Ra_lib.Aggregate_emit.partial_schema))
-      in
-      let counts =
-        temp (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
-      in
-      let out_schema = lay.Ra_lib.Aggregate_emit.out_schema in
-      let out =
-        alloc_rel st ~label:(name ^ "_out") ~rows:max_groups ~schema:out_schema
-      in
-      result := Some out;
-      let out_count =
-        temp (alloc_buf st ~label:(name ^ "_outcount") ~words:1 ~bytes:4)
-      in
-      let buf = Option.get m.buf in
-      ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
-      ignore
-        (launch st partial
-           ~params:[| buf; bounds; staging; counts |]
-           ~grid ~cta:32);
-      ignore
-        (launch st final
-           ~params:[| staging; counts; grid; out; out_count |]
-           ~grid:1 ~cta:1);
-      let rows = (Memory.data st.mem out_count).(0) in
-      (* post-launch input verification (see exec_fused); on failure
-         [free_temps] below releases the result buffer too *)
-      check_mat st m ~site:(name ^ "_input");
-      result := None;
-      free_temps ();
-      (out, rows, out_schema)
-    with
-    | e
-      when not
-             (match e with
-             | Interp.Runtime_error (Fault.Capacity_trap _) -> true
-             | _ -> false) ->
-        free_temps ();
-        raise e
-    | Interp.Runtime_error (Fault.Capacity_trap _) ->
-      free_temps ();
-      let next = min (max_groups * 2) fit_cap in
-      if next <= max_groups || tries >= cfg.Config.max_retries then
-        raise Fallback_needed;
-      spend_recovery_token st ~action:"capacity retry"
-        ~estimate:(spent_cycles st -. attempt_t0);
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
-        "capacity_retry";
-      attempt next (tries + 1)
+  let grow (c : Config.t) ~which:_ ~segment:_ ~tries =
+    let next = min (c.Config.max_groups * 2) fit_cap in
+    if next <= c.Config.max_groups || tries >= cfg.Config.max_retries then
+      raise Fallback_needed;
+    { c with Config.max_groups = next }
   in
-  match attempt (min cfg.Config.max_groups fit_cap) 0 with
+  let out_schema = lay.Ra_lib.Aggregate_emit.out_schema in
+  let attempt (c : Config.t) ~scratch ~keep =
+    let max_groups = c.Config.max_groups in
+    let grid = clamp_grid ~rows:m.rows ~cap:(aggregate_slice cfg) in
+    let partition, partial, final =
+      match certify st ~op:op_id (unit_kernels c st.run.program.plan u) with
+      | [ p; q; f ] -> (p, q, f)
+      | _ -> assert false
+    in
+    let bounds =
+      scratch
+        (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
+           ~bytes:(4 * (grid + 1)))
+    in
+    let staging =
+      scratch
+        (alloc_buf st ~label:(name ^ "_staging")
+           ~words:
+             (max 1
+                (grid * max_groups
+                * Schema.arity lay.Ra_lib.Aggregate_emit.partial_schema))
+           ~bytes:
+             (grid * max_groups
+             * Schema.tuple_bytes lay.Ra_lib.Aggregate_emit.partial_schema))
+    in
+    let counts =
+      scratch
+        (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
+    in
+    let out =
+      keep
+        (alloc_rel st ~label:(name ^ "_out") ~rows:max_groups
+           ~schema:out_schema)
+    in
+    let out_count =
+      scratch (alloc_buf st ~label:(name ^ "_outcount") ~words:1 ~bytes:4)
+    in
+    let buf = Option.get m.buf in
+    ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
+    ignore
+      (launch st partial
+         ~params:[| buf; bounds; staging; counts |]
+         ~grid ~cta:32);
+    ignore
+      (launch st final
+         ~params:[| staging; counts; grid; out; out_count |]
+         ~grid:1 ~cta:1);
+    let rows = (Memory.data st.mem out_count).(0) in
+    (* post-launch input verification (see exec_fused) *)
+    check_mat st m ~site:(name ^ "_input");
+    (out, rows)
+  in
+  match
+    with_capacity_retries st ~grow
+      { cfg with Config.max_groups = min cfg.Config.max_groups fit_cap }
+      attempt
+  with
   | exception Fallback_needed ->
       exec_fallback_node st ~name ~op_id ~consumed_sources:[ source ]
-  | out, rows, out_schema ->
+  | out, rows ->
   (* shrink the result to its actual size; [out] is unowned until the
      dense copy exists, so free it if the shrink allocation fails *)
   let dense =
@@ -1379,17 +1346,175 @@ let exec_aggregate st ~op_id ~source ~(lay : Ra_lib.Aggregate_emit.layout) =
   Array.blit (Memory.data st.mem out) 0 (Memory.data st.mem dense) 0
     (rows * Schema.arity out_schema);
   Memory.free st.mem out;
-  publish st op_id
-    {
-      schema = out_schema;
-      rows;
-      buf = Some dense;
-      host = None;
-      remaining = consumer_units_of st op_id;
-    };
+  publish st op_id ~schema:out_schema ~rows dense;
   consume st [ source ]
 
 (* --- top level ------------------------------------------------------------ *)
+
+(* End an attempt, on success and failure alike. First sweep every
+   outstanding certificate mismatch while the buffers are still live: a
+   flip that landed after its buffer's last verification — the one that
+   killed the attempt, or a concurrent one — is counted exactly once,
+   here (a completed run's outputs no longer depend on the device copy,
+   so it stands rather than raising). Then release every device
+   materialization, so a failed, cancelled or deadline-missed attempt
+   leaves the simulated device empty. *)
+let release st =
+  if (config st).Config.integrity then
+    st.run.corruptions <-
+      st.run.corruptions + List.length (Memory.mismatches st.mem);
+  Array.iter (free_device st) st.base_mats;
+  Array.iter (Option.iter (free_device st)) st.node_mats
+
+(* the run's metrics as of a released attempt; whatever is still live in
+   its memory manager is a lifetime bug, surfaced as a leak *)
+let collect st ~demotions ~rollbacks =
+  let run = st.run and ck = st.run.ckpt in
+  Metrics.collect ~reports:(List.rev run.reports) ~pcie:run.pcie
+    ~peak_global_bytes:(Memory.peak_bytes st.mem) ~retries:run.retries
+    ~fissions:run.fissions ~demotions
+    ~faults_injected:(Fault_inject.injected run.faults)
+    ~leaks:
+      (List.map
+         (fun (b, l) -> (l, Memory.bytes st.mem b))
+         (Memory.live_buffers st.mem))
+    ~corruptions:run.corruptions ~rollbacks ~checkpoints:ck.ck_taken
+    ~checkpoint_hits:ck.ck_hits ~checkpoints_evicted:ck.ck_evicted
+    ~replayed_cycles:run.replayed ~saved_replay_cycles:run.replay_spared
+    ~counterfactuals:(List.rev run.counterfactuals) ()
+
+(* One attempt on fresh device memory: restore what the checkpoint ledger
+   holds, run every remaining unit, download the sinks. A fault comes back
+   with the released attempt, whose memory the failure's metrics read. *)
+let attempt run bases ~mode ~demotions ~rollbacks =
+  let program = run.program and trace = run.trace and ckpt = run.ckpt in
+  let st =
+    {
+      run;
+      mem =
+        Memory.create ~faults:run.faults ~trace program.config.Config.device;
+      mode;
+      restored = Hashtbl.create 8;
+      base_mats =
+        Array.map
+          (fun r ->
+            {
+              schema = Relation.schema r;
+              rows = Relation.count r;
+              buf = None;
+              host = Some r;
+              remaining = 0;
+            })
+          bases;
+      node_mats = Array.make (Plan.node_count program.plan) None;
+      pending_extra = Hashtbl.create 8;
+    }
+  in
+  let module T = Weaver_obs.Trace in
+  let run_sp =
+    if T.active trace then
+      T.span trace ~lane:T.Host "run"
+        ~args:
+          [
+            ( "mode",
+              T.Str
+                (match mode with
+                | Resident -> "resident"
+                | Streamed -> "streamed") );
+          ]
+    else T.no_span
+  in
+  match
+    (* a non-positive deadline (or an already-fired token) fails the run
+       before any work, including the base uploads *)
+    check_budget run;
+    (* Restore from the checkpoint ledger: a unit whose every output has
+       a verified snapshot is skipped this attempt; its results come
+       back as host-only mats, re-uploaded on demand. The two-pass shape
+       matters: every restored op must be marked before any consumer
+       count is computed, since counts filter skipped units. *)
+    let ledgered = Hashtbl.create 8 in
+    List.iter
+      (fun (op_id, rel, _) -> Hashtbl.replace ledgered op_id rel)
+      ckpt.ck_entries;
+    List.iter
+      (fun u ->
+        let outs = unit_outputs u in
+        if outs <> [] && List.for_all (Hashtbl.mem ledgered) outs then
+          List.iter (fun op_id -> Hashtbl.replace st.restored op_id ()) outs)
+      program.units;
+    Hashtbl.iter
+      (fun op_id () ->
+        let rel = Hashtbl.find ledgered op_id in
+        st.node_mats.(op_id) <-
+          Some
+            {
+              schema = Relation.schema rel;
+              rows = Relation.count rel;
+              buf = None;
+              host = Some rel;
+              remaining = consumer_units_of st op_id;
+            };
+        ckpt.ck_hits <- ckpt.ck_hits + 1;
+        T.instant trace ~lane:T.Host "checkpoint_hit"
+          ~args:[ ("op", T.Int op_id) ])
+      st.restored;
+    (* base consumer counts (skip-aware: a restored unit reads nothing) *)
+    Array.iteri
+      (fun i (m : mat) -> m.remaining <- readers st (Plan.Base i))
+      st.base_mats;
+    (* In Resident mode, upload every base once up front (the paper's
+       small-input protocol); Streamed uploads on demand. *)
+    (match mode with
+    | Resident -> Array.iter (fun m -> ignore (upload st m)) st.base_mats
+    | Streamed -> ());
+    List.iter
+      (fun u ->
+        if not (unit_skipped st u) then
+          match u with
+          | U_fused { name; ir } -> exec_fused st ~name ir
+          | U_sort { op_id; key_arity; source } ->
+              exec_sort st ~op_id ~key_arity ~source
+          | U_unique { op_id; key_arity; source } ->
+              exec_unique st ~op_id ~key_arity ~source
+          | U_aggregate { op_id; source; lay } ->
+              exec_aggregate st ~op_id ~source ~lay)
+      program.units;
+    List.map
+      (fun id ->
+        match st.node_mats.(id) with
+        | Some m -> (id, download st m)
+        | None -> exec_error "sink %d was never computed" id)
+      (Plan.sinks program.plan)
+  with
+  | sinks ->
+      release st;
+      let metrics = collect st ~demotions ~rollbacks in
+      (* per-operator ledger summary on its own trace lane, so the Chrome
+         export carries the EXPLAIN ANALYZE view *)
+      (if T.recording trace && program.config.Config.attrib then begin
+         let module A = Weaver_obs.Attrib in
+         let ledger = Metrics.attribution metrics in
+         List.iter
+           (fun (r : A.row) ->
+             T.instant trace ~lane:T.Attrib
+               (if r.A.op = A.overhead_op then "op:overhead"
+                else Printf.sprintf "op:%d" r.A.op)
+               ~args:
+                 [
+                   ("cycles", T.Float (A.cycles_of_units r.A.units));
+                   ("roofline", T.Str (A.roofline_name (A.classify r)));
+                   ("global_bytes", T.Int r.A.global_bytes);
+                   ("launches", T.Int r.A.launches);
+                 ])
+           (A.rows ledger)
+       end);
+      T.close trace run_sp;
+      Ok { sinks; metrics }
+  | exception e -> (
+      T.close trace run_sp;
+      release st;
+      match e with Fault.Error f -> Error (f, st) | e -> raise e)
 
 let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
     bases ~mode =
@@ -1428,265 +1553,40 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
   (* One injector and one PCIe ledger span the whole run, demotion
      included: one-shot injected events do not refire on the demoted
      attempt, and every attempt's traffic stays charged. *)
-  let pcie = Pcie.create ~faults ~trace program.config.Config.device in
-  (* counters survive a failed attempt so the demoted re-run charges it *)
-  let saved_reports = ref [] in
-  let saved_cycles = ref 0.0 in
-  let saved_retries = ref 0 in
-  let saved_fissions = ref 0 in
-  let saved_budget = ref 0 in
-  let saved_corruptions = ref 0 in
-  let saved_cfs = ref [] in
-  let replayed = ref 0.0 in
-  let saved_replay = ref 0.0 in
-  let last_mem = ref None in
-  (* the checkpoint ledger spans every attempt of the run — entries taken
-     by a failed attempt are exactly what the next attempt resumes from *)
-  let ckpt =
+  let run =
     {
-      ck_on = program.config.Config.checkpoint;
-      ck_budget =
-        int_of_float
-          (program.config.Config.checkpoint_budget_frac
-          *. float_of_int program.config.Config.device.Device.global_mem_bytes);
-      ck_entries = [];
-      ck_bytes = 0;
-      ck_taken = 0;
-      ck_hits = 0;
-      ck_evicted = 0;
-      ck_last_spent = 0.0;
+      program;
+      pcie = Pcie.create ~faults ~trace program.config.Config.device;
+      faults;
+      cancel;
+      trace;
+      ckpt =
+        {
+          ck_on = program.config.Config.checkpoint;
+          ck_budget =
+            int_of_float
+              (program.config.Config.checkpoint_budget_frac
+              *. float_of_int
+                   program.config.Config.device.Device.global_mem_bytes);
+          ck_entries = [];
+          ck_bytes = 0;
+          ck_taken = 0;
+          ck_hits = 0;
+          ck_evicted = 0;
+          ck_last_spent = 0.0;
+        };
+      reports = [];
+      kernel_cycles = 0.0;
+      retries = 0;
+      fissions = 0;
+      budget_spent = 0;
+      corruptions = 0;
+      counterfactuals = [];
+      replayed = 0.0;
+      replay_spared = 0.0;
     }
   in
-  let attempt ~mode ~demotions ~rollbacks =
-    let mem = Memory.create ~faults ~trace program.config.Config.device in
-    let st =
-      {
-        program;
-        mem;
-        pcie;
-        faults;
-        cancel;
-        trace;
-        mode;
-        reports = !saved_reports;
-        kernel_cycles = !saved_cycles;
-        retries = !saved_retries;
-        fissions = !saved_fissions;
-        budget_spent = !saved_budget;
-        corruptions = !saved_corruptions;
-        counterfactuals = !saved_cfs;
-        ckpt;
-        restored = Hashtbl.create 8;
-        base_mats =
-          Array.map
-            (fun r ->
-              {
-                schema = Relation.schema r;
-                rows = Relation.count r;
-                buf = None;
-                host = Some r;
-                remaining = 0;
-              })
-            bases;
-        node_mats = Array.make (Plan.node_count program.plan) None;
-        pending_extra = Hashtbl.create 8;
-      }
-    in
-    let module T = Weaver_obs.Trace in
-    let run_sp =
-      if T.active trace then
-        T.span trace ~lane:T.Host "run"
-          ~args:
-            [
-              ( "mode",
-                T.Str
-                  (match mode with
-                  | Resident -> "resident"
-                  | Streamed -> "streamed") );
-            ]
-      else T.no_span
-    in
-    try
-      (* a non-positive deadline (or an already-fired token) fails the run
-         before any work, including the base uploads *)
-      check_budget st;
-      (* Restore from the checkpoint ledger: a unit whose every output has
-         a verified snapshot is skipped this attempt; its results come
-         back as host-only mats, re-uploaded on demand. The two-pass shape
-         matters: every restored op must be marked before any consumer
-         count is computed, since counts filter skipped units. *)
-      let ledgered = Hashtbl.create 8 in
-      List.iter
-        (fun (op_id, rel, _) -> Hashtbl.replace ledgered op_id rel)
-        ckpt.ck_entries;
-      List.iter
-        (fun u ->
-          let outs = unit_outputs u in
-          if outs <> [] && List.for_all (Hashtbl.mem ledgered) outs then
-            List.iter (fun op_id -> Hashtbl.replace st.restored op_id ()) outs)
-        program.units;
-      Hashtbl.iter
-        (fun op_id () ->
-          let rel = Hashtbl.find ledgered op_id in
-          st.node_mats.(op_id) <-
-            Some
-              {
-                schema = Relation.schema rel;
-                rows = Relation.count rel;
-                buf = None;
-                host = Some rel;
-                remaining = consumer_units_of st op_id;
-              };
-          ckpt.ck_hits <- ckpt.ck_hits + 1;
-          Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
-            "checkpoint_hit"
-            ~args:[ ("op", Weaver_obs.Trace.Int op_id) ])
-        st.restored;
-      (* base consumer counts (skip-aware: a restored unit reads nothing) *)
-      Array.iteri
-        (fun i (m : mat) ->
-          let src = Plan.Base i in
-          m.remaining <-
-            List.fold_left
-              (fun acc u ->
-                if unit_skipped st u then acc
-                else
-                  let srcs =
-                    match u with
-                    | U_fused { ir; _ } ->
-                        Array.to_list
-                          (Array.map
-                             (fun (x : Fusion.input_info) -> x.source)
-                             ir.inputs)
-                    | U_sort { source; _ } | U_unique { source; _ }
-                    | U_aggregate { source; _ } ->
-                        [ source ]
-                  in
-                  if List.exists (Plan.equal_source src) srcs then acc + 1
-                  else acc)
-              0 program.units)
-        st.base_mats;
-      (* In Resident mode, upload every base once up front (the paper's
-         small-input protocol); Streamed uploads on demand. *)
-      (match mode with
-      | Resident -> Array.iter (fun m -> ignore (upload st m)) st.base_mats
-      | Streamed -> ());
-      List.iter
-        (fun u ->
-          if not (unit_skipped st u) then
-            match u with
-            | U_fused { name; ir } -> exec_fused st ~name ir
-            | U_sort { op_id; key_arity; source } ->
-                exec_sort st ~op_id ~key_arity ~source
-            | U_unique { op_id; key_arity; source } ->
-                exec_unique st ~op_id ~key_arity ~source
-            | U_aggregate { op_id; source; lay } ->
-                exec_aggregate st ~op_id ~source ~lay)
-        program.units;
-      let sinks =
-        List.map
-          (fun id ->
-            match st.node_mats.(id) with
-            | Some m -> (id, download st m)
-            | None -> exec_error "sink %d was never computed" id)
-          (Plan.sinks program.plan)
-      in
-      (* Final integrity sweep, while every materialization is still live:
-         a flip that landed after its buffer's last verification (e.g. on a
-         sink whose host copy was already cached) is still detected and
-         counted here — but the outputs no longer depend on the device
-         copy, so the run stands rather than raising. *)
-      (if program.config.Config.integrity then
-         st.corruptions <-
-           st.corruptions + List.length (Memory.mismatches st.mem));
-      (* release every device materialization; whatever is still live in
-         the manager after that is a lifetime bug, surfaced as a leak *)
-      Array.iter (fun m -> free_device st m) st.base_mats;
-      Array.iter
-        (function Some m -> free_device st m | None -> ())
-        st.node_mats;
-      let leaks =
-        List.map
-          (fun (b, l) -> (l, Memory.bytes mem b))
-          (Memory.live_buffers mem)
-      in
-      let metrics =
-        Metrics.collect ~reports:(List.rev st.reports) ~pcie
-          ~peak_global_bytes:(Memory.peak_bytes mem) ~retries:st.retries
-          ~fissions:st.fissions ~demotions
-          ~faults_injected:(Fault_inject.injected faults) ~leaks
-          ~corruptions:st.corruptions ~rollbacks ~checkpoints:ckpt.ck_taken
-          ~checkpoint_hits:ckpt.ck_hits ~checkpoints_evicted:ckpt.ck_evicted
-          ~replayed_cycles:!replayed ~saved_replay_cycles:!saved_replay
-          ~counterfactuals:(List.rev st.counterfactuals) ()
-      in
-      (* per-operator ledger summary on its own trace lane, so the Chrome
-         export carries the EXPLAIN ANALYZE view *)
-      (if T.recording trace && program.config.Config.attrib then begin
-         let module A = Weaver_obs.Attrib in
-         let ledger = Metrics.attribution metrics in
-         List.iter
-           (fun (r : A.row) ->
-             T.instant trace ~lane:T.Attrib
-               (if r.A.op = A.overhead_op then "op:overhead"
-                else Printf.sprintf "op:%d" r.A.op)
-               ~args:
-                 [
-                   ("cycles", T.Float (A.cycles_of_units r.A.units));
-                   ("roofline", T.Str (A.roofline_name (A.classify r)));
-                   ("global_bytes", T.Int r.A.global_bytes);
-                   ("launches", T.Int r.A.launches);
-                 ])
-           (A.rows ledger)
-       end);
-      T.close trace run_sp;
-      { sinks; metrics }
-    with e ->
-      T.close trace run_sp;
-      (* sweep before the cleanup frees retire the evidence: every
-         outstanding mismatch — the one that raised (if corruption is what
-         killed the attempt) and any concurrent flips — is counted exactly
-         once, here *)
-      (if program.config.Config.integrity then
-         st.corruptions <-
-           st.corruptions + List.length (Memory.mismatches st.mem));
-      saved_reports := st.reports;
-      saved_cycles := st.kernel_cycles;
-      saved_retries := st.retries;
-      saved_fissions := st.fissions;
-      saved_budget := st.budget_spent;
-      saved_corruptions := st.corruptions;
-      saved_cfs := st.counterfactuals;
-      (* failure-path cleanup: every materialization is released so a
-         cancelled or deadline-missed query leaves the (simulated) device
-         empty — anything still live afterwards is a genuine lifetime bug
-         and shows up in the partial metrics' leak list *)
-      Array.iter (fun m -> free_device st m) st.base_mats;
-      Array.iter
-        (function Some m -> free_device st m | None -> ())
-        st.node_mats;
-      last_mem := Some mem;
-      raise e
-  in
-  let partial ~demotions ~rollbacks =
-    let leaks, peak =
-      match !last_mem with
-      | Some mem ->
-          ( List.map
-              (fun (b, l) -> (l, Memory.bytes mem b))
-              (Memory.live_buffers mem),
-            Memory.peak_bytes mem )
-      | None -> ([], 0)
-    in
-    Metrics.collect ~reports:(List.rev !saved_reports) ~pcie
-      ~peak_global_bytes:peak ~retries:!saved_retries
-      ~fissions:!saved_fissions ~demotions
-      ~faults_injected:(Fault_inject.injected faults) ~leaks
-      ~corruptions:!saved_corruptions ~rollbacks ~checkpoints:ckpt.ck_taken
-      ~checkpoint_hits:ckpt.ck_hits ~checkpoints_evicted:ckpt.ck_evicted
-      ~replayed_cycles:!replayed ~saved_replay_cycles:!saved_replay
-      ~counterfactuals:(List.rev !saved_cfs) ()
-  in
+  let ckpt = run.ckpt in
   (* Policy order (see DESIGN.md "Fault model & recovery"): retries and
      fission already happened inside the attempt; what escapes here is a
      device OOM (demote a Resident run to Streamed and restart) or a
@@ -1708,58 +1608,6 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
     | Fault.Cancelled _ | Fault.Deadline_exceeded _ -> f
     | f -> ( match Cancel.cancelled cancel with Some c -> c | None -> f)
   in
-  (* A run-level restart (rollback to the last checkpoint, or a
-     Resident->Streamed demotion) is a recovery action too: it passes the
-     same budget gates as a retry. [estimate] is what the restart is
-     expected to cost — for a demotion the whole query so far, for a
-     rollback only the suffix after the last verified checkpoint, which is
-     the point of checkpointing: the deadline veto is re-judged against
-     the shorter remaining work. *)
-  let restart_veto ~action ~estimate =
-    match Cancel.cancelled cancel with
-    | Some f -> Some f
-    | None -> (
-        match program.config.Config.retry_budget with
-        | None -> None
-        | Some budget ->
-            if !saved_budget >= budget then
-              Some
-                (Fault.Budget_vetoed
-                   {
-                     action;
-                     reason =
-                       Fault.Tokens_exhausted { budget; spent = !saved_budget };
-                   })
-            else
-              let spent = !saved_cycles +. Pcie.total_cycles pcie in
-              let vetoed =
-                match program.config.Config.deadline_cycles with
-                | Some limit when estimate > limit -. spent ->
-                    Some
-                      (Fault.Budget_vetoed
-                         {
-                           action;
-                           reason =
-                             Fault.Deadline_too_close
-                               {
-                                 estimated = estimate;
-                                 remaining = Float.max (limit -. spent) 0.0;
-                               };
-                         })
-                | _ -> None
-              in
-              if vetoed = None then saved_budget := !saved_budget + 1;
-              vetoed)
-  in
-  let emit_veto veto =
-    if Weaver_obs.Trace.active trace then
-      match veto with
-      | Fault.Budget_vetoed { action; _ } ->
-          Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
-            "budget_veto"
-            ~args:[ ("action", Weaver_obs.Trace.Str action) ]
-      | _ -> ()
-  in
   (* the faults the rollback rung is willing to absorb: transient
      infrastructure faults plus detected corruption. Deadline_exceeded,
      Cancelled and Budget_vetoed stay terminal by construction. *)
@@ -1777,23 +1625,32 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
      2. demotion — a Resident device OOM restarts Streamed (and still
         restores whatever the ledger holds);
      3. fail with a typed, attempt-counted fault.
+     A restart passes the same recovery gate as an in-attempt retry; its
+     estimate is what it is expected to re-spend — for a demotion the
+     whole query so far, for a rollback only the suffix after the last
+     verified checkpoint, which is the point of checkpointing. A veto or
+     cancellation the gate raises fails the run as it is.
      Replay accounting: of the cycles the failed attempt burned, the part
-     before the newest checkpoint is charged to [saved_replay] (the ledger
+     before the newest checkpoint is charged to [replay_spared] (the ledger
      saved re-spending it), the rest to [replayed]. *)
   let rec drive ~mode ~demotions ~rollbacks ~last_taken =
-    let t0 = !saved_cycles +. Pcie.total_cycles pcie in
-    match attempt ~mode ~demotions ~rollbacks with
-    | r -> Ok r
-    | exception Fault.Error f -> (
-        let fail_spent = !saved_cycles +. Pcie.total_cycles pcie in
-        let lost = Float.max 0.0 (fail_spent -. t0) in
+    let t0 = spent_cycles run in
+    match attempt run bases ~mode ~demotions ~rollbacks with
+    | Ok r -> Ok r
+    | Error (f, st) -> (
+        let lost = Float.max 0.0 (spent_cycles run -. t0) in
         let fail fault =
           Error
             {
               fault;
-              partial = partial ~demotions ~rollbacks;
+              partial = collect st ~demotions ~rollbacks;
               trail = Weaver_obs.Trace.trail trace;
             }
+        in
+        let restart ~action ~estimate k =
+          match spend_recovery_token run ~action ~estimate with
+          | () -> k ()
+          | exception Fault.Error veto -> fail veto
         in
         let can_rollback =
           ckpt.ck_on && recoverable f
@@ -1805,36 +1662,29 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
             Float.max 0.0 (Float.min lost (ckpt.ck_last_spent -. t0))
           in
           let suffix = lost -. covered in
-          match restart_veto ~action:"rollback" ~estimate:suffix with
-          | Some veto ->
-              emit_veto veto;
-              fail veto
-          | None ->
-              replayed := !replayed +. suffix;
-              saved_replay := !saved_replay +. covered;
-              Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
-                "rollback"
-                ~args:
-                  [ ("restored", Weaver_obs.Trace.Int (List.length ckpt.ck_entries)) ];
-              drive ~mode ~demotions ~rollbacks:(rollbacks + 1)
-                ~last_taken:ckpt.ck_taken
+          restart ~action:"rollback" ~estimate:suffix @@ fun () ->
+          run.replayed <- run.replayed +. suffix;
+          run.replay_spared <- run.replay_spared +. covered;
+          Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host "rollback"
+            ~args:
+              [
+                ( "restored",
+                  Weaver_obs.Trace.Int (List.length ckpt.ck_entries) );
+              ];
+          drive ~mode ~demotions ~rollbacks:(rollbacks + 1)
+            ~last_taken:ckpt.ck_taken
         end
         else
           match f with
-          | Fault.Alloc_failure _ when mode = Resident -> (
-              let spent_now = !saved_cycles +. Pcie.total_cycles pcie in
-              match restart_veto ~action:"demotion" ~estimate:spent_now with
-              | Some veto ->
-                  emit_veto veto;
-                  fail veto
-              | None ->
-                  replayed := !replayed +. lost;
-                  Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
-                    "demotion";
-                  drive ~mode:Streamed ~demotions:(demotions + 1) ~rollbacks
-                    ~last_taken:ckpt.ck_taken)
-          | f ->
-              fail (wrap ~attempts:(1 + demotions + rollbacks) (surface f)))
+          | Fault.Alloc_failure _ when mode = Resident ->
+              restart ~action:"demotion" ~estimate:(spent_cycles run)
+              @@ fun () ->
+              run.replayed <- run.replayed +. lost;
+              Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
+                "demotion";
+              drive ~mode:Streamed ~demotions:(demotions + 1) ~rollbacks
+                ~last_taken:ckpt.ck_taken
+          | f -> fail (wrap ~attempts:(1 + demotions + rollbacks) (surface f)))
   in
   drive ~mode ~demotions:0 ~rollbacks:0 ~last_taken:0
 
@@ -1844,82 +1694,25 @@ let run ?cancel ?trace program bases ~mode =
   | Error { fault; _ } -> raise (Execution_error fault)
 
 let kernels_source program =
-  let buf = Buffer.create 4096 in
   let o = Optimizer.optimize program.opt in
-  let add k = Buffer.add_string buf (Cuda_emit.kernel_source (o k)) in
-  List.iter
-    (fun u ->
-      match u with
-      | U_fused { name; ir } ->
-          let lay = Layout.compute program.config program.plan ir in
-          let ks = Codegen.generate program.config ~name ir lay in
-          add ks.Codegen.partition;
-          add ks.Codegen.compute;
-          Array.iter add ks.Codegen.scans;
-          Array.iter add ks.Codegen.gathers
-      | U_sort { op_id; _ } ->
-          Buffer.add_string buf
-            (Printf.sprintf "/* sort%d: modelled multi-pass merge sort */\n"
-               op_id)
-      | U_unique { op_id; key_arity; source = _ } ->
-          let schema =
-            (Plan.node program.plan op_id).Plan.schema
-          in
-          add
-            (Ra_lib.Unique_emit.emit_compute ~op:op_id
-               ~name:(Printf.sprintf "unique%d_compute" op_id)
-               ~schema ~key_arity ~cap:program.config.Config.cap
-               ~stage_cap:program.config.Config.cap ())
-      | U_aggregate { op_id; lay; _ } ->
-          add
-            (Ra_lib.Aggregate_emit.emit_partial ~op:op_id
-               ~name:(Printf.sprintf "aggregate%d_partial" op_id)
-               lay ~max_groups:program.config.Config.max_groups
-               ~stage_cap:program.config.Config.max_groups ());
-          add
-            (Ra_lib.Aggregate_emit.emit_final ~op:op_id
-               ~name:(Printf.sprintf "aggregate%d_final" op_id)
-               lay ~max_groups:program.config.Config.max_groups
-               ~stage_cap:program.config.Config.max_groups ()))
-    program.units;
-  Buffer.contents buf
+  String.concat ""
+    (List.concat_map
+       (function
+         | U_sort { op_id; _ } ->
+             [
+               Printf.sprintf "/* sort%d: modelled multi-pass merge sort */\n"
+                 op_id;
+             ]
+         | u ->
+             List.map
+               (fun (k, _) -> Cuda_emit.kernel_source (o k))
+               (unit_kernels program.config program.plan u))
+       program.units)
 
 let analyze_program program =
-  let reports = ref [] in
-  let add ?regions k =
-    reports := analyze_kernel ?regions k :: !reports
-  in
-  List.iter
+  List.concat_map
     (fun u ->
-      match u with
-      | U_fused { name; ir } ->
-          let lay = Layout.compute program.config program.plan ir in
-          let ks = Codegen.generate program.config ~name ir lay in
-          add ks.Codegen.partition;
-          add ~regions:(layout_regions lay ~n_in:(Array.length ir.Fusion.inputs))
-            ks.Codegen.compute;
-          Array.iter add ks.Codegen.scans;
-          Array.iter add ks.Codegen.gathers
-      | U_sort _ ->
-          (* modelled multi-pass merge sort: no woven KIR to certify *)
-          ()
-      | U_unique { op_id; key_arity; source = _ } ->
-          let schema = (Plan.node program.plan op_id).Plan.schema in
-          add
-            (Ra_lib.Unique_emit.emit_compute ~op:op_id
-               ~name:(Printf.sprintf "unique%d_compute" op_id)
-               ~schema ~key_arity ~cap:program.config.Config.cap
-               ~stage_cap:program.config.Config.cap ())
-      | U_aggregate { op_id; lay; _ } ->
-          add
-            (Ra_lib.Aggregate_emit.emit_partial ~op:op_id
-               ~name:(Printf.sprintf "aggregate%d_partial" op_id)
-               lay ~max_groups:program.config.Config.max_groups
-               ~stage_cap:program.config.Config.max_groups ());
-          add
-            (Ra_lib.Aggregate_emit.emit_final ~op:op_id
-               ~name:(Printf.sprintf "aggregate%d_final" op_id)
-               lay ~max_groups:program.config.Config.max_groups
-               ~stage_cap:program.config.Config.max_groups ()))
-    program.units;
-  List.rev !reports
+      List.map
+        (fun (k, regions) -> analyze_kernel ~regions k)
+        (unit_kernels program.config program.plan u))
+    program.units

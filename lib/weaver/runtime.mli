@@ -24,8 +24,7 @@
       group is split (binary, down to singletons) and each part compiled
       and run separately;
     - injected transient faults (device allocation, PCIe transfer — see
-      {!Gpu_sim.Fault_inject}) are retried up to [config.alloc_retries] /
-      [config.transfer_retries];
+      {!Gpu_sim.Fault_inject}) are retried up to 3 times;
     - a persistent device OOM during a [Resident] run {b demotes} the run
       to [Streamed] and restarts it (same PCIe ledger, same injection
       schedule state), trading residency for footprint;
@@ -42,6 +41,12 @@
     - anything still failing raises {!Execution_error} with a typed
       {!Gpu_sim.Fault.t} payload ([Recovery_exhausted] when recovery was
       attempted).
+
+    Every recovery action — retry, fission, rollback, demotion — first
+    passes one gate: a cancellation already on the token wins, then the
+    [config.retry_budget] token purse and the deadline-cost veto apply
+    ({!Gpu_sim.Fault.Budget_vetoed}). Counters survive failed attempts:
+    a run's metrics charge every attempt it made.
 
     Every kernel launch runs its CTAs on [config.jobs] worker domains
     (see {!Gpu_sim.Interp.run}); results, stats and cycle counts are
@@ -146,8 +151,11 @@ val analyze_program :
     (the contract codegen must honor — O3 then only rewrites what was
     already certified), with the fused compute kernel checked against
     its layout's shared-memory regions and each kernel's register
-    budget. Sort units have no woven KIR and are skipped. Pure: builds
-    kernels but executes nothing. *)
+    budget. The kernels are built by the same function the execution
+    gate uses, so the reports cover exactly the kernels a run certifies
+    (unique and aggregate partition kernels included); sort units have no
+    woven KIR and are skipped. Pure: builds kernels but executes
+    nothing. *)
 
 val analyze_kernel :
   ?regions:Weaver_analysis.Analysis.region list ->

@@ -55,9 +55,6 @@ type response = {
 type config = {
   queue_limit : int;
   admit_fraction : float;
-  breaker_window : int;
-  breaker_threshold : int;
-  breaker_cooldown : int;
   hedge_quantile : float option;
   hedge_min_samples : int;
   brownout_window : int;
@@ -70,9 +67,6 @@ let default_config =
   {
     queue_limit = 16;
     admit_fraction = 0.5;
-    breaker_window = 8;
-    breaker_threshold = 3;
-    breaker_cooldown = 4;
     hedge_quantile = None;
     hedge_min_samples = 4;
     brownout_window = 8;
@@ -95,7 +89,6 @@ type stats = {
   budget_vetoes : int;
   pre_demotions : int;
   runtime_demotions : int;
-  breaker_trips : int;
   hedges : int;
   hedge_wins : int;
   hedge_losses : int;
@@ -189,62 +182,13 @@ let footprints (program : Runtime.program) bases =
   in
   (resident, streamed)
 
-(* --- circuit breakers ------------------------------------------------------
-
-   One breaker per fault site. A breaker watches the last [breaker_window]
-   executions touching its site; [breaker_threshold] failures inside the
-   window trip it for [breaker_cooldown] admissions. While the memory or
-   capacity breaker is open, new Resident queries are admitted pre-demoted
-   to Streamed — shedding device-memory pressure instead of letting every
-   queued query re-discover the same OOM. *)
-
-type site = Site_memory | Site_capacity | Site_transfer
-
-let rec site_of_fault = function
-  | Fault.Alloc_failure _ -> Some Site_memory
-  | Fault.Capacity_trap _ -> Some Site_capacity
-  | Fault.Transfer_failure _ -> Some Site_transfer
-  | Fault.Recovery_exhausted { last; _ } -> site_of_fault last
-  | _ -> None
-
-type breaker = {
-  mutable window : bool list;  (** newest first; [true] = failure *)
-  mutable open_for : int;  (** admissions until the breaker half-closes *)
-  mutable trips : int;
-}
-
-let site_name = function
-  | Site_memory -> "memory"
-  | Site_capacity -> "capacity"
-  | Site_transfer -> "transfer"
-
-(* Returns [true] iff this observation tripped the breaker, so the caller
-   can emit the trip on its trace/registry. *)
-let record cfg b failed =
-  b.window <- failed :: b.window;
-  if List.length b.window > cfg.breaker_window then
-    b.window <-
-      List.filteri (fun i _ -> i < cfg.breaker_window) b.window;
-  let failures = List.length (List.filter Fun.id b.window) in
-  if b.open_for = 0 && failures >= cfg.breaker_threshold then begin
-    b.trips <- b.trips + 1;
-    b.open_for <- cfg.breaker_cooldown;
-    b.window <- [];
-    true
-  end
-  else false
-
-let is_open b = b.open_for > 0
-
-let tick_cooldown b = if b.open_for > 0 then b.open_for <- b.open_for - 1
-
 (* --- the brownout degradation ladder ---------------------------------------
    (DESIGN.md §13)
 
-   A three-level controller sits above the per-site breakers and watches
-   system-wide pressure: a sliding window of pressure marks (one per
-   execution outcome — failure or not — plus one per breaker trip and one
-   per deep-queue admission). Escalation is immediate; de-escalation has
+   A three-level controller watches system-wide pressure: a sliding
+   window of pressure marks, one per execution outcome (bad for a failure
+   or a completion that only survived by demoting itself) plus one per
+   deep-queue admission. Escalation is immediate; de-escalation has
    hysteresis, so the ladder never flaps:
 
      Normal   -- marks >= brownout_threshold --> Brownout
@@ -352,26 +296,6 @@ let run_batch ?(config = default_config) ?(trace = Weaver_obs.Trace.none)
           "weaver_service_checkpoints_total";
         ])
     registry;
-  let breakers =
-    List.map
-      (fun site -> (site, { window = []; open_for = 0; trips = 0 }))
-      [ Site_memory; Site_capacity; Site_transfer ]
-  in
-  let breaker site = List.assq site breakers in
-  (* returns how many breakers this observation tripped, so the caller can
-     feed the trips to the brownout controller as pressure marks *)
-  let observe_breakers failed_site =
-    List.fold_left
-      (fun trips (site, b) ->
-        if record config b (failed_site = Some site) then begin
-          reg_inc "weaver_service_breaker_trips_total";
-          T.instant trace ~lane:T.Service "breaker_trip"
-            ~args:[ ("site", T.Str (site_name site)) ];
-          trips + 1
-        end
-        else trips)
-      0 breakers
-  in
   (* the service clock: cumulative simulated cycles across the batch (one
      device, queries run back to back; arrival is t=0 for the whole batch,
      so a query's latency is the clock when it finishes) *)
@@ -524,17 +448,11 @@ let run_batch ?(config = default_config) ?(trace = Weaver_obs.Trace.none)
       let budget =
         int_of_float (config.admit_fraction *. float_of_int capacity)
       in
-      let shedding =
-        is_open (breaker Site_memory)
-        || is_open (breaker Site_capacity)
-        (* Brownout: every admission runs at minimum footprint *)
-        || ctl.level = Brownout
-      in
-      List.iter (fun (_, b) -> tick_cooldown b) breakers;
       let mode, pre_demoted =
         match r.mode with
         | Runtime.Streamed -> (Runtime.Streamed, false)
-        | Runtime.Resident when resident_b > budget || shedding ->
+        (* Brownout: every admission runs at minimum footprint *)
+        | Runtime.Resident when resident_b > budget || ctl.level = Brownout ->
             (Runtime.Streamed, true)
         | Runtime.Resident -> (Runtime.Resident, false)
       in
@@ -691,14 +609,22 @@ let run_batch ?(config = default_config) ?(trace = Weaver_obs.Trace.none)
           match run_with ~cancel:pcancel primary_cfg mode with
           | Ok res -> Ok (res, false)
           | Error pf -> (
-              match (hedge_cap, pf.Runtime.fault) with
-              | ( Some h,
-                  Fault.Deadline_exceeded
-                    { kind = Fault.Deadline_cycles; limit; _ } )
-                when limit = h ->
-                  (* the primary outlived the hedge cap (not the real
-                     deadline — the cap is strictly smaller): declare it
-                     the loser, charge its cycles, issue the backup *)
+              (* the primary outlived the hedge cap (not the real deadline
+                 — the cap is strictly smaller), or a recovery action it
+                 needed could not finish inside the cap *)
+              let outlived h = function
+                | Fault.Deadline_exceeded
+                    { kind = Fault.Deadline_cycles; limit; _ } ->
+                    limit = h
+                | Fault.Budget_vetoed
+                    { reason = Fault.Deadline_too_close _; _ } ->
+                    true
+                | _ -> false
+              in
+              match hedge_cap with
+              | Some h when outlived h pf.Runtime.fault ->
+                  (* declare the primary the loser, charge its cycles,
+                     issue the backup *)
                   incr hedges;
                   reg_inc "weaver_service_hedges_total";
                   T.instant trace ~lane:T.Service "hedge_issue"
@@ -748,15 +674,10 @@ let run_batch ?(config = default_config) ?(trace = Weaver_obs.Trace.none)
             account_integrity res.Runtime.metrics;
             observe_attrib res.Runtime.metrics;
             (* a run that only survived by demoting itself is memory
-               pressure too: charge the memory breaker *)
-            let trips =
-              observe_breakers
-                (if res.Runtime.metrics.Metrics.demotions > 0 then
-                   Some Site_memory
-                 else None)
-            in
-            for _ = 1 to trips do mark ~why:"breaker_trip" true done;
-            mark ~why:"completed" false;
+               pressure too *)
+            if res.Runtime.metrics.Metrics.demotions > 0 then
+              mark ~why:"demoted" true
+            else mark ~why:"completed" false;
             close_service "completed";
             respond r (Completed res) ~mode_used:mode ~pre_demoted ~hedged
               ~footprint_bytes
@@ -795,12 +716,6 @@ let run_batch ?(config = default_config) ?(trace = Weaver_obs.Trace.none)
                 T.instant trace ~lane:T.Service "budget_veto"
                   ~args:[ ("rid", T.Int r.rid); ("action", T.Str action) ]
             | _ -> ());
-            let trips =
-              match site_of_fault f.Runtime.fault with
-              | Some s -> observe_breakers (Some s)
-              | None -> 0
-            in
-            for _ = 1 to trips do mark ~why:"breaker_trip" true done;
             mark ~why:"failed" true;
             close_service "failed";
             respond r (Failed f) ~mode_used:mode ~pre_demoted ~hedged
@@ -828,8 +743,6 @@ let run_batch ?(config = default_config) ?(trace = Weaver_obs.Trace.none)
       budget_vetoes = !budget_vetoes;
       pre_demotions = !pre_demotions;
       runtime_demotions = !runtime_demotions;
-      breaker_trips =
-        List.fold_left (fun a (_, b) -> a + b.trips) 0 breakers;
       hedges = !hedges;
       hedge_wins = !hedge_wins;
       hedge_losses = !hedge_losses;
@@ -857,15 +770,15 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>submitted %d: %d admitted (%d pre-demoted), %d rejected (%d queue, \
      %d capacity, %d shed)@ completed %d, failed %d (%d deadline misses, %d \
-     cancelled, %d budget vetoes)@ demotions at run time: %d; breaker trips: \
-     %d@ hedges: %d issued, %d won, %d lost; brownouts: %d, sheds: %d@ \
+     cancelled, %d budget vetoes)@ demotions at run time: %d@ hedges: %d \
+     issued, %d won, %d lost; brownouts: %d, sheds: %d@ \
      integrity: %d corruptions detected, %d rollbacks, %d checkpoints@ \
      latency cycles: p50 %.0f, p95 %.0f@ throughput: %.1f q/s over %.3e \
      simulated cycles (%.3f s wall)@]"
     s.submitted s.admitted s.pre_demotions s.rejected s.queue_rejections
     s.capacity_rejections s.shed_rejections s.completed s.failed
     s.deadline_misses s.cancelled s.budget_vetoes s.runtime_demotions
-    s.breaker_trips s.hedges s.hedge_wins s.hedge_losses s.brownout_entries
+    s.hedges s.hedge_wins s.hedge_losses s.brownout_entries
     s.shed_entries s.corruptions_detected s.rollbacks s.checkpoints_taken
     s.p50_latency_cycles s.p95_latency_cycles s.throughput_qps
     s.total_cycles s.wall_seconds

@@ -23,11 +23,15 @@
       all are rejected with {!Over_capacity}. The wait queue is bounded:
       beyond [queue_limit] waiting requests, submissions are rejected
       with {!Queue_full} (backpressure, never unbounded buffering).
-    - {b Overload shedding}: per-site circuit breakers (memory, capacity,
-      PCIe) watch recent failures; a tripped memory/capacity breaker
-      pre-demotes subsequent admissions to Streamed for a cooldown
-      period instead of letting each queued query rediscover the same
-      pressure. *)
+    - {b Overload shedding}: one degradation ladder (Normal -> Brownout
+      -> Shed, DESIGN.md §13) scores recent pressure — failed executions,
+      completions that survived only by demoting themselves, deep-queue
+      admissions. Brownout pre-demotes every Resident admission to
+      Streamed instead of letting each queued query rediscover the same
+      pressure; Shed rejects admissions with {!Overloaded}.
+    - {b Hedging}: optionally, a primary execution that outlives a
+      latency quantile of the batch is cancelled and retried as a
+      Streamed backup. *)
 
 open Gpu_sim
 open Relation_lib
@@ -99,13 +103,11 @@ type config = {
   queue_limit : int;  (** max requests waiting behind the running one *)
   admit_fraction : float;
       (** Resident footprint budget as a fraction of device memory *)
-  breaker_window : int;  (** executions a breaker remembers *)
-  breaker_threshold : int;  (** failures in the window that trip it *)
-  breaker_cooldown : int;  (** admissions an open breaker sheds for *)
   hedge_quantile : float option;
       (** when set (e.g. [Some 0.95]), a primary execution whose elapsed
           cycles exceed this quantile of the batch's completed-execution
-          history is cancelled and hedged with a speculative Streamed
+          history — or whose recovery the deadline-cost veto stops inside
+          that cap — is cancelled and hedged with a speculative Streamed
           backup; first completion wins, the loser's buffers are freed.
           [None] (the default) disables hedging. Hedging is also
           suspended while the degradation ladder is above Normal. *)
@@ -128,9 +130,8 @@ type config = {
 }
 
 val default_config : config
-(** queue 16, admit 0.5, breaker window 8 / threshold 3 / cooldown 4,
-    hedging off (min samples 4), brownout window 8 / threshold 3 / shed
-    threshold 6 / cooldown 3. *)
+(** queue 16, admit 0.5, hedging off (min samples 4), brownout window 8 /
+    threshold 3 / shed threshold 6 / cooldown 3. *)
 
 type stats = {
   submitted : int;
@@ -150,7 +151,6 @@ type stats = {
           [deadline_misses]: they are deadline misses discovered early. *)
   pre_demotions : int;  (** admission-time Resident->Streamed downgrades *)
   runtime_demotions : int;  (** OOM-driven demotions inside the runtime *)
-  breaker_trips : int;
   hedges : int;  (** speculative backup launches issued *)
   hedge_wins : int;  (** hedges whose backup completed the request *)
   hedge_losses : int;  (** hedges whose backup also failed *)
@@ -183,14 +183,14 @@ val run_batch :
     Queue-lane span per admitted request from batch arrival to execution
     start, one Service-lane span per execution (verdict and mode in its
     args), and Service-lane instants for rejections, pre-demotions,
-    breaker trips, deadline misses and cancellations — on top of
+    ladder transitions, hedges, deadline misses and cancellations — on top of
     everything the runtime itself traces. Even without a caller trace,
     each query runs over a private recorder-only tracer so a {!Failed}
     verdict always carries a flight-recorder [trail].
 
     [registry] (when given) accumulates service metrics: counters
     [weaver_service_{submitted,admitted,rejected,completed,failed,
-    deadline_misses,cancelled,pre_demotions,breaker_trips}_total], the
+    deadline_misses,cancelled,pre_demotions}_total], the
     dedicated rejection counters
     [weaver_service_rejected_{queue_full,over_capacity,shed}_total], the
     overload counters [weaver_service_{budget_vetoes,hedges,hedge_wins,

@@ -227,6 +227,47 @@ let test_goldens_clean () =
       check_program_clean q.Tpch.Queries.qname q.Tpch.Queries.plan)
     [ Tpch.Queries.q1; Tpch.Queries.q21 ]
 
+(* [analyze_program] certifies exactly the kernels the execution gate
+   certifies: its report names equal the gate spans of a fault-free
+   Resident run. *)
+let test_analyze_matches_gate () =
+  let check what plan bases =
+    let program = Weaver.Driver.compile plan in
+    let analyzed =
+      List.sort_uniq String.compare
+        (List.map
+           (fun (r : Weaver_analysis.Analysis.report) ->
+             r.Weaver_analysis.Analysis.kname)
+           (Weaver.Runtime.analyze_program program))
+    in
+    let trace = Weaver_obs.Trace.create () in
+    ignore
+      (Weaver.Runtime.run ~trace program bases ~mode:Weaver.Runtime.Resident);
+    let gated =
+      List.sort_uniq String.compare
+        (List.filter_map
+           (fun (e : Weaver_obs.Trace.event) ->
+             match (e.Weaver_obs.Trace.lane, String.index_opt e.name ':') with
+             | Weaver_obs.Trace.Gate, Some i when String.sub e.name 0 i = "gate"
+               ->
+                 Some (String.sub e.name (i + 1) (String.length e.name - i - 1))
+             | _ -> None)
+           (Weaver_obs.Trace.events trace))
+    in
+    Alcotest.(check (list string)) (what ^ ": analyzed = gated") gated analyzed
+  in
+  List.iter
+    (fun (w : Tpch.Patterns.workload) ->
+      check w.Tpch.Patterns.name w.Tpch.Patterns.plan
+        (w.Tpch.Patterns.gen ~seed:5 ~rows:400))
+    Tpch.Patterns.
+      [ pattern_a (); pattern_b (); pattern_c (); pattern_d (); pattern_e () ];
+  let db = Tpch.Datagen.generate ~seed:5 ~lineitems:400 in
+  List.iter
+    (fun (q : Tpch.Queries.query) ->
+      check q.Tpch.Queries.qname q.Tpch.Queries.plan (q.Tpch.Queries.bind db))
+    [ Tpch.Queries.q1; Tpch.Queries.q21 ]
+
 let test_certificate_within_budget () =
   let k = fused_compute () in
   let r = Weaver.Runtime.analyze_kernel k in
@@ -282,6 +323,8 @@ let suite =
     Alcotest.test_case "seeded defect: understated registers" `Quick
       test_defect_shrunk_regs;
     Alcotest.test_case "golden workloads gate clean" `Slow test_goldens_clean;
+    Alcotest.test_case "analyze covers what the gate runs" `Quick
+      test_analyze_matches_gate;
     Alcotest.test_case "certificate within budgets" `Quick
       test_certificate_within_budget;
     QCheck_alcotest.to_alcotest prop_gate_clean;

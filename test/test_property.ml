@@ -57,7 +57,11 @@ let build_random seed =
   in
   let descs = ref [] in
   let n_ops = 2 + irand 5 in
-  for _ = 1 to n_ops do
+  (* draw on past [n_ops] until some operator was added: a plan needs
+     one, and seeds that already have one keep their plan *)
+  let draws = ref 0 in
+  while !draws < n_ops || !descs = [] do
+    incr draws;
     let src, schema = pick () in
     let ar = Schema.arity schema in
     let choice = irand 100 in
@@ -199,18 +203,25 @@ let results_match a b =
 
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000)
 
+let fusion_correct seed =
+  let { plan; bases; desc } = build_random seed in
+  let reference = Reference.eval_sinks plan bases in
+  let cmp =
+    Weaver.Driver.compare_fusion plan bases ~mode:Weaver.Runtime.Resident
+  in
+  (* compare_fusion already checks fused == unfused; check vs oracle *)
+  if not (results_match reference cmp.Weaver.Driver.fused.Weaver.Runtime.sinks)
+  then QCheck.Test.fail_reportf "mismatch vs reference: %s" desc
+  else true
+
 let prop_fusion_correct =
   QCheck.Test.make ~name:"fused == unfused == reference" ~count:120 arb_seed
-    (fun seed ->
-      let { plan; bases; desc } = build_random seed in
-      let reference = Reference.eval_sinks plan bases in
-      let cmp =
-        Weaver.Driver.compare_fusion plan bases ~mode:Weaver.Runtime.Resident
-      in
-      (* compare_fusion already checks fused == unfused; check vs oracle *)
-      if not (results_match reference cmp.Weaver.Driver.fused.Weaver.Runtime.sinks)
-      then QCheck.Test.fail_reportf "mismatch vs reference: %s" desc
-      else true)
+    fusion_correct
+
+(* seed 82309 once drew no operator at all *)
+let test_seed_82309 () =
+  Alcotest.(check bool) "fused == unfused == reference" true
+    (fusion_correct 82309)
 
 let prop_streamed_matches_resident =
   QCheck.Test.make ~name:"streamed == resident" ~count:60 arb_seed (fun seed ->
@@ -467,7 +478,8 @@ let prop_storm_spec_roundtrip =
         else true)
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest
+  ("random plan seed 82309", `Quick, test_seed_82309)
+  :: List.map QCheck_alcotest.to_alcotest
     [
       prop_fusion_correct;
       prop_streamed_matches_resident;

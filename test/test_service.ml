@@ -5,7 +5,7 @@
    to a solo run of the same program; (2) deadlines and cancellations
    fail only their own query, with typed faults and zero leaked device
    buffers; (3) admission control rejects (queue overflow, over
-   capacity) or pre-demotes (footprint over budget, open breaker)
+   capacity) or pre-demotes (footprint over budget, Brownout)
    before spending any simulated cycles; (4) the aggregate statistics
    are internally consistent. *)
 
@@ -259,33 +259,26 @@ let test_over_capacity_rejected () =
   Alcotest.(check bool) "no cycles spent" true
     (stats.Weaver.Service.total_cycles = 0.0)
 
-(* --- overload shedding: circuit breakers ------------------------------------- *)
+(* --- overload shedding: memory pressure browns the service out --------- *)
 
-let test_breaker_sheds () =
-  let failing =
-    wl
-      ~config:
-        {
-          Weaver.Config.default with
-          Weaver.Config.faults = Some "alloc@1x999";
-        }
-      (Tpch.Patterns.pattern_a ())
-  in
+let faulty ?(faults = "alloc@1x999") () =
+  wl
+    ~config:{ Weaver.Config.default with Weaver.Config.faults = Some faults }
+    (Tpch.Patterns.pattern_a ())
+
+let ladder_config =
+  { Weaver.Service.default_config with Weaver.Service.brownout_threshold = 2 }
+
+(* Two Resident OOM failures are two pressure marks: the ladder browns out
+   and the next Resident request is admitted pre-demoted to Streamed. *)
+let test_oom_browns_out () =
   let healthy = wl (Tpch.Patterns.pattern_a ()) in
   let base = solo ~mode:Weaver.Runtime.Streamed healthy in
-  let config =
-    {
-      Weaver.Service.default_config with
-      Weaver.Service.breaker_window = 4;
-      breaker_threshold = 2;
-      breaker_cooldown = 3;
-    }
-  in
   let responses, stats =
-    Weaver.Service.run_batch ~config
+    Weaver.Service.run_batch ~config:ladder_config
       [
-        req ~rid:0 failing;
-        req ~rid:1 failing;
+        req ~rid:0 (faulty ());
+        req ~rid:1 (faulty ());
         req ~mode:Weaver.Runtime.Resident ~rid:2 healthy;
       ]
   in
@@ -293,22 +286,44 @@ let test_breaker_sheds () =
   | [ r0; r1; r2 ] ->
       check_partial_clean ~what:"oom 0" (failed ~what:"oom 0" r0);
       check_partial_clean ~what:"oom 1" (failed ~what:"oom 1" r1);
-      (* the two memory exhaustions trip the breaker; the healthy query
-         is admitted pre-demoted to Streamed and still answers right *)
       Alcotest.(check bool) "shed to Streamed" true
         r2.Weaver.Service.pre_demoted;
       check_sinks ~what:"shed query" base (completed ~what:"shed query" r2)
   | _ -> Alcotest.fail "expected 3 responses");
-  Alcotest.(check bool) "breaker tripped" true
-    (stats.Weaver.Service.breaker_trips >= 1);
+  Alcotest.(check int) "browned out" 1 stats.Weaver.Service.brownout_entries;
   Alcotest.(check int) "two failures" 2 stats.Weaver.Service.failed
+
+(* A Resident run that completes only by demoting itself to Streamed is
+   memory pressure too: two of them brown the service out just as two
+   failures would. *)
+let test_self_demotion_is_pressure () =
+  let healthy = wl (Tpch.Patterns.pattern_a ()) in
+  let base = solo ~mode:Weaver.Runtime.Streamed healthy in
+  let demoting = faulty ~faults:"alloc@1x4" () in
+  let responses, stats =
+    Weaver.Service.run_batch ~config:ladder_config
+      [ req ~rid:0 demoting; req ~rid:1 demoting; req ~rid:2 healthy ]
+  in
+  let r = Array.of_list responses in
+  List.iter
+    (fun i ->
+      let what = Printf.sprintf "demoting rid %d" i in
+      Alcotest.(check bool) (what ^ ": admitted Resident") false
+        r.(i).Weaver.Service.pre_demoted;
+      check_sinks ~what base (completed ~what r.(i)))
+    [ 0; 1 ];
+  Alcotest.(check int) "two run-time demotions" 2
+    stats.Weaver.Service.runtime_demotions;
+  Alcotest.(check bool) "third request pre-demoted" true
+    r.(2).Weaver.Service.pre_demoted;
+  check_sinks ~what:"pre-demoted rid 2" base (completed ~what:"rid 2" r.(2));
+  Alcotest.(check int) "browned out" 1 stats.Weaver.Service.brownout_entries
 
 (* --- degradation ladder: Normal -> Brownout -> Shed -> recovery -------------- *)
 
 (* Drives the three-level controller through a full cycle with failing
-   then healthy requests (DESIGN.md §13). Breakers are parked (huge
-   threshold) so only the ladder is under test: two failures brown the
-   service out, a third sheds it; Shed rejects exactly [brownout_cooldown]
+   then healthy requests (DESIGN.md §13): two failures brown the service
+   out, a third sheds it; Shed rejects exactly [brownout_cooldown]
    admissions with a typed Overloaded verdict, then probes at Brownout;
    clean completions step it back to Normal. *)
 let test_brownout_ladder () =
@@ -325,7 +340,6 @@ let test_brownout_ladder () =
     {
       Weaver.Service.default_config with
       Weaver.Service.queue_limit = 50;
-      breaker_threshold = 99;
       brownout_threshold = 2;
       shed_threshold = 3;
       brownout_cooldown = 2;
@@ -454,6 +468,68 @@ let test_hedge_loss_leak_free () =
   Alcotest.(check int) "counted as a deadline miss" 1
     stats.Weaver.Service.deadline_misses
 
+(* A recovery action the hedged primary cannot afford inside the hedge
+   cap comes back as a [Deadline_too_close] veto, not a
+   [Deadline_exceeded]: it must hedge too. Each request of this batch
+   carries a 3% alloc/launch/transfer storm plus one bit flip that
+   checkpointed recovery rolls back; with the cap armed, rollbacks and
+   retries are vetoed against it. Were those vetoes failures, the
+   service would brown out, Brownout would switch checkpointing off and
+   later flips would become terminal. *)
+let test_hedge_on_deadline_veto () =
+  let db = Tpch.Datagen.generate ~seed:1 ~lineitems:2_000 in
+  let q1 =
+    {
+      program = Weaver.Driver.compile Tpch.Queries.q1.Tpch.Queries.plan;
+      bases = Tpch.Queries.q1.Tpch.Queries.bind db;
+    }
+  in
+  let ws =
+    [|
+      wl ~rows:2_000 (Tpch.Patterns.pattern_a ());
+      wl ~rows:2_000 (Tpch.Patterns.pattern_b ());
+      wl ~rows:2_000 (Tpch.Patterns.pattern_e ());
+      q1;
+    |]
+  in
+  let expected = Array.map (solo ~mode:Weaver.Runtime.Streamed) ws in
+  let reqs =
+    List.init 9 (fun rid ->
+        let w = ws.(rid mod 4) in
+        let faults =
+          Printf.sprintf
+            "rseed@%d,alloc%%0.03,launch%%0.03,transfer%%0.03,launch@%d:flip"
+            (rid + 1)
+            (2 + (rid mod 3))
+        in
+        let config =
+          {
+            w.program.Weaver.Runtime.config with
+            Weaver.Config.faults = Some faults;
+            checkpoint = true;
+            retry_budget = Some 16;
+            deadline_cycles = Some 1e7;
+          }
+        in
+        Weaver.Service.request ~rid ~mode:Weaver.Runtime.Streamed
+          { w.program with Weaver.Runtime.config }
+          w.bases)
+  in
+  let responses, stats =
+    Weaver.Service.run_batch
+      ~config:{ hedge_config with Weaver.Service.queue_limit = 8 }
+      reqs
+  in
+  List.iteri
+    (fun rid r ->
+      let what = Printf.sprintf "storm rid %d" rid in
+      check_sinks ~what expected.(rid mod 4) (completed ~what r))
+    responses;
+  Alcotest.(check bool) "some primaries hedged" true
+    (stats.Weaver.Service.hedges > 0);
+  Alcotest.(check int) "never browned out" 0
+    stats.Weaver.Service.brownout_entries
+
 (* --- dedicated rejection counters -------------------------------------------- *)
 
 let test_rejection_counters () =
@@ -487,9 +563,11 @@ let suite =
     ("bounded queue rejects overflow", `Quick, test_queue_full);
     ("admission pre-demotes big residents", `Quick, test_admission_pre_demotes);
     ("over-capacity requests rejected", `Quick, test_over_capacity_rejected);
-    ("tripped breaker sheds to Streamed", `Quick, test_breaker_sheds);
+    ("OOM failures brown out", `Quick, test_oom_browns_out);
+    ("self-demotion is pressure", `Quick, test_self_demotion_is_pressure);
     ("degradation ladder full cycle", `Quick, test_brownout_ladder);
     ("hedged launch wins", `Quick, test_hedge_win);
     ("hedge loss stays leak-free", `Quick, test_hedge_loss_leak_free);
+    ("deadline veto under a cap hedges", `Quick, test_hedge_on_deadline_veto);
     ("dedicated rejection counters", `Quick, test_rejection_counters);
   ]
