@@ -326,11 +326,7 @@ let overload ~jobs ~quick () =
   let queue_limit = 8 in
   let capacity = queue_limit + 1 in
   let service_config =
-    {
-      Weaver.Service.default_config with
-      Weaver.Service.queue_limit;
-      hedge_quantile = Some 0.95;
-    }
+    { Weaver.Service.queue_limit; hedge_quantile = Some 0.95 }
   in
   Printf.printf
     "\n== overload: goodput vs offered load under a %.0f%% fault storm ==\n\

@@ -1018,13 +1018,6 @@ let serve name ~doc =
              ~doc:"Bounded wait queue: submissions beyond the running query \
                    plus N waiters are rejected (backpressure)")
   in
-  let admit_arg =
-    Arg.(value
-         & opt float Weaver.Service.default_config.Weaver.Service.admit_fraction
-         & info [ "admit-fraction" ] ~docv:"F"
-             ~doc:"Resident footprint budget as a fraction of device memory; \
-                   estimates above it are admitted pre-demoted to Streamed")
-  in
   let retry_budget_arg =
     Arg.(value & opt (some int) None
          & info [ "retry-budget" ] ~docv:"N"
@@ -1041,46 +1034,14 @@ let serve name ~doc =
                    executions and issue a speculative Streamed backup; \
                    first completion wins")
   in
-  let hedge_min_arg =
-    Arg.(value
-         & opt int
-             Weaver.Service.default_config.Weaver.Service.hedge_min_samples
-         & info [ "hedge-min-samples" ] ~docv:"N"
-             ~doc:"Completed executions required before hedging arms")
-  in
-  let brownout_threshold_arg =
-    Arg.(value
-         & opt int
-             Weaver.Service.default_config.Weaver.Service.brownout_threshold
-         & info [ "brownout-threshold" ] ~docv:"N"
-             ~doc:"Pressure marks in the sliding window that force Streamed \
-                   placement and disable hedging (Brownout)")
-  in
-  let shed_threshold_arg =
-    Arg.(value
-         & opt int Weaver.Service.default_config.Weaver.Service.shed_threshold
-         & info [ "shed-threshold" ] ~docv:"N"
-             ~doc:"Pressure marks in the sliding window that reject new \
-                   admissions outright (Shed)")
-  in
-  let brownout_cooldown_arg =
-    Arg.(value
-         & opt int
-             Weaver.Service.default_config.Weaver.Service.brownout_cooldown
-         & info [ "brownout-cooldown" ] ~docv:"N"
-             ~doc:"Clean completions needed to recover from Brownout; also \
-                   the number of admissions a Shed episode rejects before \
-                   probing again")
-  in
   let json_arg =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Print the service statistics as JSON (per-request lines are \
                  suppressed)")
   in
   let run files rows inputs seed repeat streamed jobs faults no_integrity
-      checkpoint ckpt_frac dcycles dms queue_limit admit_fraction retry_budget
-      hedge_quantile hedge_min_samples brownout_threshold shed_threshold
-      brownout_cooldown json trace_out metrics_out flight_ring =
+      checkpoint ckpt_frac dcycles dms queue_limit retry_budget hedge_quantile
+      json trace_out metrics_out flight_ring =
     if flight_ring < 0 then
       usage_error "bad --flight-ring %d (want N >= 0)" flight_ring;
     guard (fun () ->
@@ -1114,29 +1075,17 @@ let serve name ~doc =
         | Some q when q <= 0.0 || q >= 1.0 ->
             usage_error "bad --hedge-quantile %g (want 0 < Q < 1)" q
         | _ -> ());
-        let config =
-          {
-            Weaver.Service.default_config with
-            Weaver.Service.queue_limit;
-            admit_fraction;
-            hedge_quantile;
-            hedge_min_samples;
-            brownout_threshold;
-            shed_threshold;
-            brownout_cooldown;
-          }
-        in
+        let config = { Weaver.Service.queue_limit; hedge_quantile } in
+        (* the run-level weaver_* families are folded from the trace, so
+           --metrics-out records events even when no trace is exported *)
         let trace =
-          match trace_out with
-          | Some _ ->
-              Weaver_obs.Trace.create ~clock:Unix.gettimeofday
-                ~ring:flight_ring ()
-          | None -> Weaver_obs.Trace.none
+          if Option.is_some trace_out || Option.is_some metrics_out then
+            Weaver_obs.Trace.create ~clock:Unix.gettimeofday ~ring:flight_ring
+              ()
+          else Weaver_obs.Trace.none
         in
         let registry =
-          match metrics_out with
-          | Some _ -> Some (Weaver_obs.Registry.create ())
-          | None -> None
+          Option.map (fun _ -> Weaver_obs.Registry.create ()) metrics_out
         in
         let responses, stats =
           Weaver.Service.run_batch ~config ~trace ?registry
@@ -1147,8 +1096,7 @@ let serve name ~doc =
         | None -> ());
         (match (metrics_out, registry) with
         | Some path, Some reg ->
-            if Weaver_obs.Trace.active trace then
-              Weaver_obs.Registry.observe_trace reg trace;
+            Weaver_obs.Registry.observe_trace reg trace;
             write_file path (Weaver_obs.Registry.prometheus reg)
         | _ -> ());
         if json then print_endline (stats_json stats)
@@ -1193,10 +1141,9 @@ let serve name ~doc =
         (const run $ queries_arg $ rows_arg $ inputs_arg $ seed_arg
        $ repeat_arg $ streamed_arg $ jobs_arg $ faults_arg $ no_integrity_arg
        $ checkpoint_arg $ ckpt_frac_arg
-       $ deadline_cycles_arg $ deadline_ms_arg $ queue_arg $ admit_arg
-       $ retry_budget_arg $ hedge_arg $ hedge_min_arg $ brownout_threshold_arg
-       $ shed_threshold_arg $ brownout_cooldown_arg $ json_arg $ trace_out_arg
-       $ metrics_out_arg $ flight_ring_arg))
+       $ deadline_cycles_arg $ deadline_ms_arg $ queue_arg $ retry_budget_arg
+       $ hedge_arg $ json_arg $ trace_out_arg $ metrics_out_arg
+       $ flight_ring_arg))
 
 let serve_cmd =
   serve "serve"

@@ -51,6 +51,15 @@ let rec check schema = function
       ignore (type_of_expr schema a);
       ignore (type_of_expr schema b)
 
+(* round through binary32, as the GPU does after every float operation *)
+let f32 x = Value.to_f32 (Value.of_f32 x)
+
+(* An operand as the float the device computes with: an f32 decodes as
+   stored, an int widens through binary32 exactly as the device's I2f
+   rounds it. *)
+let as_float t v =
+  if Dtype.is_float t then Value.to_f32 v else f32 (float_of_int v)
+
 let rec eval_expr schema tup e =
   match e with
   | Attr i -> tup.(i)
@@ -59,13 +68,8 @@ let rec eval_expr schema tup e =
   | Bin (op, a, b) ->
       let ta = type_of_expr schema a and tb = type_of_expr schema b in
       let va = eval_expr schema tup a and vb = eval_expr schema tup b in
-      let as_float t v =
-        if Dtype.is_float t then Value.to_f32 v else float_of_int v
-      in
       if Dtype.is_float (type_of_expr schema e) then
         let fa = as_float ta va and fb = as_float tb vb in
-        (* round through binary32 after each operation, as the GPU would *)
-        let f32 x = Value.to_f32 (Value.of_f32 x) in
         Value.of_f32
           (match op with
           | Add -> f32 (fa +. fb)
@@ -90,9 +94,7 @@ let rec eval schema tup = function
       let va = eval_expr schema tup a and vb = eval_expr schema tup b in
       let r =
         if Dtype.is_float ta || Dtype.is_float tb then
-          let fa = if Dtype.is_float ta then Value.to_f32 va else float_of_int va in
-          let fb = if Dtype.is_float tb then Value.to_f32 vb else float_of_int vb in
-          Float.compare fa fb
+          Float.compare (as_float ta va) (as_float tb vb)
         else Int.compare va vb
       in
       (match c with

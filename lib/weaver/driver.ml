@@ -24,19 +24,9 @@ let unit_produces = function
   | Runtime.U_aggregate { op_id; _ } ->
       [ op_id ]
 
-let unit_sources plan = function
-  | Runtime.U_fused { ir; _ } ->
-      Array.to_list
-        (Array.map (fun (i : Fusion.input_info) -> i.source) ir.inputs)
-  | Runtime.U_sort { source; _ }
-  | Runtime.U_unique { source; _ }
-  | Runtime.U_aggregate { source; _ } ->
-      ignore plan;
-      [ source ]
-
 (* Kahn topological sort of units, preferring lower producing op ids so the
    order is deterministic. *)
-let topo_units plan units =
+let topo_units units =
   let n = List.length units in
   let arr = Array.of_list units in
   let producer = Hashtbl.create 16 in
@@ -50,7 +40,7 @@ let topo_units plan units =
           (function
             | Plan.Node j -> Hashtbl.find_opt producer j
             | Plan.Base _ -> None)
-          (unit_sources plan u)
+          (Runtime.unit_inputs u)
         |> List.sort_uniq Int.compare)
       arr
   in
@@ -121,7 +111,7 @@ let compile ?(config = Config.default) ?(fuse = true) ?(opt = Optimizer.O3)
       groups
   in
   let barrier_units = List.map (barrier_unit plan) (Candidates.barriers plan) in
-  let units = topo_units plan (fused_units @ barrier_units) in
+  let units = topo_units (fused_units @ barrier_units) in
   { Runtime.plan; config; opt; units; groups }
 
 let run = Runtime.run

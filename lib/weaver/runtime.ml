@@ -161,11 +161,17 @@ let spend_recovery_token run ~action ~estimate =
         veto (Fault.Tokens_exhausted { budget; spent = run.budget_spent });
       (match run.program.config.Config.deadline_cycles with
       | Some limit ->
-          let remaining = limit -. spent_cycles run in
-          if estimate > remaining then
+          let spent = spent_cycles run in
+          (* a failed transfer can carry the run past its deadline before
+             the next checkpoint: that is the miss itself, not a veto *)
+          if spent > limit then
+            Fault.raise_
+              (Fault.Deadline_exceeded
+                 { kind = Fault.Deadline_cycles; limit; spent });
+          if estimate > limit -. spent then
             veto
               (Fault.Deadline_too_close
-                 { estimated = estimate; remaining = Float.max remaining 0.0 })
+                 { estimated = estimate; remaining = limit -. spent })
       | None -> ());
       run.budget_spent <- run.budget_spent + 1
 

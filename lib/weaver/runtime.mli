@@ -80,6 +80,15 @@ type program = {
   groups : int list list;  (** the fusion groups chosen (incl. singletons) *)
 }
 
+val unit_inputs : unit_kind -> Plan.source list
+(** The relations a unit reads: a fused group's inputs, or a barrier
+    operator's single source. *)
+
+val unit_outputs : unit_kind -> int list
+(** The plan nodes a unit materializes: a fused group's outputs (its
+    sinks and the intermediates other units read), or the barrier
+    operator itself. *)
+
 type result = { sinks : (int * Relation.t) list; metrics : Metrics.t }
 
 type failure = {

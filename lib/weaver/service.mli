@@ -18,7 +18,7 @@
     - {b Admission control}: a query's device-memory footprint is
       estimated from base cardinalities and the planner's expansion
       budgets before it runs. Resident queries whose estimate exceeds
-      [admit_fraction] of device memory are admitted pre-demoted to
+      half of device memory (a fixed budget) are admitted pre-demoted to
       Streamed; queries whose single largest working set cannot fit at
       all are rejected with {!Over_capacity}. The wait queue is bounded:
       beyond [queue_limit] waiting requests, submissions are rejected
@@ -26,12 +26,18 @@
     - {b Overload shedding}: one degradation ladder (Normal -> Brownout
       -> Shed, DESIGN.md §13) scores recent pressure — failed executions,
       completions that survived only by demoting themselves, deep-queue
-      admissions. Brownout pre-demotes every Resident admission to
+      admissions — over a window of the last 8 marks: 3 brown the service
+      out, 6 shed it. Brownout pre-demotes every Resident admission to
       Streamed instead of letting each queued query rediscover the same
-      pressure; Shed rejects admissions with {!Overloaded}.
-    - {b Hedging}: optionally, a primary execution that outlives a
-      latency quantile of the batch is cancelled and retried as a
-      Streamed backup. *)
+      pressure, and turns checkpointing off; Shed rejects 3 admissions
+      with {!Overloaded}, then probes at Brownout; 3 clean completions
+      step Brownout back to Normal.
+    - {b Hedging}: optionally, once 4 executions have completed, a
+      primary execution that outlives a latency quantile of them is
+      cancelled and retried as a Streamed backup.
+    - {b One ledger}: the responses are the only tally. {!stats} is a
+      fold over them after the batch, and the registry is written once
+      from the stats and the responses. *)
 
 open Gpu_sim
 open Relation_lib
@@ -47,14 +53,6 @@ type request = {
   cancel : Cancel.t option;
       (** client-side abort handle; cancel it (with {!Fault.Cancelled})
           from another domain or a watchdog to stop the query *)
-  integrity : bool option;
-      (** per-request override of {!Config.t.integrity}; [None] inherits
-          the program config *)
-  checkpoint : bool option;
-      (** per-request override of {!Config.t.checkpoint}; [None] inherits
-          the program config. The degradation ladder force-disables
-          checkpointing while above Normal — the ledger's host-memory and
-          PCIe cost is shed before work is. *)
 }
 
 val request :
@@ -62,8 +60,6 @@ val request :
   ?wall_deadline_s:float ->
   ?cancel:Cancel.t ->
   ?mode:Runtime.mode ->
-  ?integrity:bool ->
-  ?checkpoint:bool ->
   rid:int ->
   Runtime.program ->
   Relation.t array ->
@@ -101,37 +97,22 @@ type response = {
 
 type config = {
   queue_limit : int;  (** max requests waiting behind the running one *)
-  admit_fraction : float;
-      (** Resident footprint budget as a fraction of device memory *)
   hedge_quantile : float option;
       (** when set (e.g. [Some 0.95]), a primary execution whose elapsed
           cycles exceed this quantile of the batch's completed-execution
           history — or whose recovery the deadline-cost veto stops inside
           that cap — is cancelled and hedged with a speculative Streamed
           backup; first completion wins, the loser's buffers are freed.
-          [None] (the default) disables hedging. Hedging is also
-          suspended while the degradation ladder is above Normal. *)
-  hedge_min_samples : int;
-      (** completed executions required before the hedge quantile is
-          considered meaningful; earlier requests never hedge *)
-  brownout_window : int;
-      (** admission/completion outcomes the degradation-ladder controller
-          remembers when scoring pressure *)
-  brownout_threshold : int;
-      (** pressure marks in the window that escalate Normal -> Brownout
-          (force Streamed admissions, disable hedging) *)
-  shed_threshold : int;
-      (** pressure marks in the window that escalate to Shed (reject
-          admissions with {!Overloaded}) *)
-  brownout_cooldown : int;
-      (** hysteresis: consecutive clean completions needed to step
-          Brownout back down to Normal, and the number of admissions a
-          Shed episode rejects before probing at Brownout again *)
+          Requests before the fourth completion never hedge. [None] (the
+          default) disables hedging. Hedging is also suspended while the
+          degradation ladder is above Normal. *)
 }
+(** The admission budget, the hedge warm-up and the ladder's window,
+    thresholds and cooldown are fixed policy, not settings (see the
+    module header and DESIGN.md §9, §13). *)
 
 val default_config : config
-(** queue 16, admit 0.5, hedging off (min samples 4), brownout window 8 /
-    threshold 3 / shed threshold 6 / cooldown 3. *)
+(** queue 16, hedging off. *)
 
 type stats = {
   submitted : int;
@@ -188,20 +169,24 @@ val run_batch :
     each query runs over a private recorder-only tracer so a {!Failed}
     verdict always carries a flight-recorder [trail].
 
-    [registry] (when given) accumulates service metrics: counters
+    [registry] (when given) is written once, after the batch. Every
+    counter is present even at zero:
     [weaver_service_{submitted,admitted,rejected,completed,failed,
-    deadline_misses,cancelled,pre_demotions}_total], the
-    dedicated rejection counters
+    deadline_misses,cancelled,pre_demotions}_total], the dedicated
+    rejection counters
     [weaver_service_rejected_{queue_full,over_capacity,shed}_total], the
     overload counters [weaver_service_{budget_vetoes,hedges,hedge_wins,
-    hedge_losses,brownout_transitions}_total], the integrity counters
+    hedge_losses,brownout_transitions}_total] and the integrity counters
     [weaver_service_{corruptions_detected,rollbacks,checkpoints}_total],
-    histograms
-    [weaver_service_latency_cycles] (completed queries),
-    [weaver_service_exec_cycles] (per-execution device cycles) and
-    [weaver_service_queue_wait_cycles], and gauges
-    [weaver_service_queue_depth], [weaver_service_throughput_qps] and
-    [weaver_service_brownout_level] (0 = Normal, 1 = Brownout, 2 = Shed).
+    each equal to its {!stats} field (transitions count ladder moves in
+    either direction). Histograms, sampled in execution order:
+    [weaver_service_latency_cycles] and [weaver_service_exec_cycles]
+    (completed queries), [weaver_service_queue_wait_cycles] (executed
+    queries) and [weaver_op_cycles{op=...}] (attributed cycles per plan
+    operator per executed query). Gauges at their final values:
+    [weaver_service_queue_depth] (queue position of the last admission),
+    [weaver_service_throughput_qps] and [weaver_service_brownout_level]
+    (0 = Normal, 1 = Brownout, 2 = Shed).
 
     Completed and Failed metrics come back stamped with
     [Metrics.queue_wait_cycles] and [Metrics.service = true]. *)

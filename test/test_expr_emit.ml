@@ -138,6 +138,18 @@ let prop_expr_o3_identical =
       in
       run k = run k3)
 
+(* Seed 488041 builds an int subexpression too large for binary32 that
+   is then widened into float arithmetic: the host must round it through
+   f32 as the device's I2f does (it once differed by one ulp). *)
+let test_int_widening_rounds_through_f32 () =
+  let e = gen_expr 488041 and tup = gen_tuple 488041 in
+  Alcotest.(check int) "host = device" (device_eval e tup)
+    (Pred.eval_expr schema tup e)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_expr_bit_identical; prop_pred_agrees; prop_expr_o3_identical ]
+  @ [
+      Alcotest.test_case "int widening rounds through f32 (seed 488041)"
+        `Quick test_int_widening_rounds_through_f32;
+    ]

@@ -210,15 +210,26 @@ let test_queue_full () =
   Alcotest.(check int) "two rejections" 2 stats.Weaver.Service.rejected;
   Alcotest.(check int) "two completions" 2 stats.Weaver.Service.completed
 
+(* Small-device settings: a 16 MB global memory and launch shapes that
+   fit it. *)
+let tiny_config =
+  {
+    Weaver.Config.default with
+    Weaver.Config.device = Device.tiny;
+    cta_threads = 16;
+    cap = 32;
+    min_cap = 8;
+    broadcast_cap = 256;
+    max_groups = 64;
+  }
+
+(* pattern (b) at 50k rows: its Resident footprint estimate is over half
+   the tiny device's memory, its largest Streamed working set is not *)
 let test_admission_pre_demotes () =
-  let w = wl (Tpch.Patterns.pattern_b ()) in
+  let w = wl ~rows:50_000 ~config:tiny_config (Tpch.Patterns.pattern_b ()) in
   let base = solo ~mode:Weaver.Runtime.Streamed w in
-  let config =
-    { Weaver.Service.default_config with Weaver.Service.admit_fraction = 0.0 }
-  in
   let responses, stats =
-    Weaver.Service.run_batch ~config
-      [ req ~mode:Weaver.Runtime.Resident ~rid:7 w ]
+    Weaver.Service.run_batch [ req ~mode:Weaver.Runtime.Resident ~rid:7 w ]
   in
   let r = List.hd responses in
   Alcotest.(check bool) "pre-demoted" true r.Weaver.Service.pre_demoted;
@@ -234,18 +245,7 @@ let test_over_capacity_rejected () =
   (* a base relation far larger than the tiny device's 16 MB: even one
      Streamed working set cannot fit, so admission must refuse before
      spending a single simulated cycle *)
-  let config =
-    {
-      Weaver.Config.default with
-      Weaver.Config.device = Device.tiny;
-      cta_threads = 16;
-      cap = 32;
-      min_cap = 8;
-      broadcast_cap = 256;
-      max_groups = 64;
-    }
-  in
-  let w = wl ~rows:3_000_000 ~config (Tpch.Patterns.pattern_b ()) in
+  let w = wl ~rows:3_000_000 ~config:tiny_config (Tpch.Patterns.pattern_b ()) in
   let responses, stats = Weaver.Service.run_batch [ req ~rid:9 w ] in
   (match (List.hd responses).Weaver.Service.verdict with
   | Weaver.Service.Rejected
@@ -266,43 +266,47 @@ let faulty ?(faults = "alloc@1x999") () =
     ~config:{ Weaver.Config.default with Weaver.Config.faults = Some faults }
     (Tpch.Patterns.pattern_a ())
 
-let ladder_config =
-  { Weaver.Service.default_config with Weaver.Service.brownout_threshold = 2 }
-
-(* Two Resident OOM failures are two pressure marks: the ladder browns out
-   and the next Resident request is admitted pre-demoted to Streamed. *)
+(* Three Resident OOM failures are three pressure marks: the ladder
+   browns out and the next Resident request is admitted pre-demoted to
+   Streamed. *)
 let test_oom_browns_out () =
   let healthy = wl (Tpch.Patterns.pattern_a ()) in
   let base = solo ~mode:Weaver.Runtime.Streamed healthy in
   let responses, stats =
-    Weaver.Service.run_batch ~config:ladder_config
+    Weaver.Service.run_batch
       [
         req ~rid:0 (faulty ());
         req ~rid:1 (faulty ());
-        req ~mode:Weaver.Runtime.Resident ~rid:2 healthy;
+        req ~rid:2 (faulty ());
+        req ~mode:Weaver.Runtime.Resident ~rid:3 healthy;
       ]
   in
-  (match responses with
-  | [ r0; r1; r2 ] ->
-      check_partial_clean ~what:"oom 0" (failed ~what:"oom 0" r0);
-      check_partial_clean ~what:"oom 1" (failed ~what:"oom 1" r1);
-      Alcotest.(check bool) "shed to Streamed" true
-        r2.Weaver.Service.pre_demoted;
-      check_sinks ~what:"shed query" base (completed ~what:"shed query" r2)
-  | _ -> Alcotest.fail "expected 3 responses");
+  let r = Array.of_list responses in
+  List.iter
+    (fun i ->
+      let what = Printf.sprintf "oom %d" i in
+      check_partial_clean ~what (failed ~what r.(i)))
+    [ 0; 1; 2 ];
+  Alcotest.(check bool) "shed to Streamed" true r.(3).Weaver.Service.pre_demoted;
+  check_sinks ~what:"shed query" base (completed ~what:"shed query" r.(3));
   Alcotest.(check int) "browned out" 1 stats.Weaver.Service.brownout_entries;
-  Alcotest.(check int) "two failures" 2 stats.Weaver.Service.failed
+  Alcotest.(check int) "three failures" 3 stats.Weaver.Service.failed
 
 (* A Resident run that completes only by demoting itself to Streamed is
-   memory pressure too: two of them brown the service out just as two
-   failures would. *)
+   memory pressure too: three of them brown the service out just as
+   three failures would. *)
 let test_self_demotion_is_pressure () =
   let healthy = wl (Tpch.Patterns.pattern_a ()) in
   let base = solo ~mode:Weaver.Runtime.Streamed healthy in
   let demoting = faulty ~faults:"alloc@1x4" () in
   let responses, stats =
-    Weaver.Service.run_batch ~config:ladder_config
-      [ req ~rid:0 demoting; req ~rid:1 demoting; req ~rid:2 healthy ]
+    Weaver.Service.run_batch
+      [
+        req ~rid:0 demoting;
+        req ~rid:1 demoting;
+        req ~rid:2 demoting;
+        req ~rid:3 healthy;
+      ]
   in
   let r = Array.of_list responses in
   List.iter
@@ -311,56 +315,46 @@ let test_self_demotion_is_pressure () =
       Alcotest.(check bool) (what ^ ": admitted Resident") false
         r.(i).Weaver.Service.pre_demoted;
       check_sinks ~what base (completed ~what r.(i)))
-    [ 0; 1 ];
-  Alcotest.(check int) "two run-time demotions" 2
+    [ 0; 1; 2 ];
+  Alcotest.(check int) "three run-time demotions" 3
     stats.Weaver.Service.runtime_demotions;
-  Alcotest.(check bool) "third request pre-demoted" true
-    r.(2).Weaver.Service.pre_demoted;
-  check_sinks ~what:"pre-demoted rid 2" base (completed ~what:"rid 2" r.(2));
+  Alcotest.(check bool) "fourth request pre-demoted" true
+    r.(3).Weaver.Service.pre_demoted;
+  check_sinks ~what:"pre-demoted rid 3" base (completed ~what:"rid 3" r.(3));
   Alcotest.(check int) "browned out" 1 stats.Weaver.Service.brownout_entries
 
 (* --- degradation ladder: Normal -> Brownout -> Shed -> recovery -------------- *)
 
 (* Drives the three-level controller through a full cycle with failing
-   then healthy requests (DESIGN.md §13): two failures brown the service
-   out, a third sheds it; Shed rejects exactly [brownout_cooldown]
-   admissions with a typed Overloaded verdict, then probes at Brownout;
-   clean completions step it back to Normal. *)
+   then healthy requests (DESIGN.md §13): three failures brown the
+   service out, six shed it; Shed rejects three admissions with a typed
+   Overloaded verdict, then probes at Brownout; three clean completions
+   step it back to Normal. *)
 let test_brownout_ladder () =
   let healthy = wl (Tpch.Patterns.pattern_a ()) in
-  let broken =
-    wl
-      ~config:
-        { Weaver.Config.default with Weaver.Config.faults = Some "alloc@1x999" }
-      (Tpch.Patterns.pattern_a ())
-  in
+  let broken = faulty () in
   let base_res = solo healthy in
   let base_str = solo ~mode:Weaver.Runtime.Streamed healthy in
   let config =
-    {
-      Weaver.Service.default_config with
-      Weaver.Service.queue_limit = 50;
-      brownout_threshold = 2;
-      shed_threshold = 3;
-      brownout_cooldown = 2;
-    }
+    { Weaver.Service.default_config with Weaver.Service.queue_limit = 50 }
   in
   let reqs =
     List.mapi
       (fun rid w -> req ~rid w)
-      [ broken; broken; broken; healthy; healthy; healthy; healthy; healthy ]
+      (List.init 6 (fun _ -> broken) @ List.init 7 (fun _ -> healthy))
   in
   let responses, stats = Weaver.Service.run_batch ~config reqs in
   let r = Array.of_list responses in
-  (* rids 0-2 fail (the third already pre-demoted by Brownout) *)
+  (* rids 0-5 fail; 3-5 already pre-demoted by Brownout *)
   List.iter
     (fun i ->
       let what = Printf.sprintf "ladder rid %d" i in
-      check_partial_clean ~what (failed ~what r.(i)))
-    [ 0; 1; 2 ];
-  Alcotest.(check bool) "rid 2 admitted under Brownout runs Streamed" true
-    r.(2).Weaver.Service.pre_demoted;
-  (* rids 3-4 arrive while Shed holds: typed rejection, nothing ran *)
+      check_partial_clean ~what (failed ~what r.(i));
+      Alcotest.(check bool)
+        (what ^ ": pre-demoted only under Brownout")
+        (i >= 3) r.(i).Weaver.Service.pre_demoted)
+    [ 0; 1; 2; 3; 4; 5 ];
+  (* rids 6-8 arrive while Shed holds: typed rejection, nothing ran *)
   List.iter
     (fun i ->
       match r.(i).Weaver.Service.verdict with
@@ -369,53 +363,48 @@ let test_brownout_ladder () =
             (Printf.sprintf "rid %d shed level" i)
             "shed" level
       | _ -> Alcotest.fail (Printf.sprintf "rid %d: Overloaded expected" i))
-    [ 3; 4 ];
-  (* rids 5-6 probe at Brownout: pre-demoted, bit-identical to streamed *)
+    [ 6; 7; 8 ];
+  (* rids 9-11 probe at Brownout: pre-demoted, bit-identical to streamed *)
   List.iter
     (fun i ->
       let what = Printf.sprintf "ladder rid %d" i in
       Alcotest.(check bool) (what ^ ": probe runs Streamed") true
         r.(i).Weaver.Service.pre_demoted;
       check_sinks ~what base_str (completed ~what r.(i)))
-    [ 5; 6 ];
-  (* two clean completions recover the service: rid 7 runs Resident *)
-  let what = "ladder rid 7" in
+    [ 9; 10; 11 ];
+  (* three clean completions recover the service: rid 12 runs Resident *)
+  let what = "ladder rid 12" in
   Alcotest.(check bool) (what ^ ": recovered to Normal") false
-    r.(7).Weaver.Service.pre_demoted;
-  check_sinks ~what base_res (completed ~what r.(7));
+    r.(12).Weaver.Service.pre_demoted;
+  check_sinks ~what base_res (completed ~what r.(12));
   Alcotest.(check int) "brownout entries (initial + shed probe)" 2
     stats.Weaver.Service.brownout_entries;
   Alcotest.(check int) "shed entries" 1 stats.Weaver.Service.shed_entries;
-  Alcotest.(check int) "shed rejections" 2 stats.Weaver.Service.shed_rejections;
-  Alcotest.(check int) "rejected total" 2 stats.Weaver.Service.rejected;
-  Alcotest.(check int) "completed" 3 stats.Weaver.Service.completed;
-  Alcotest.(check int) "failed" 3 stats.Weaver.Service.failed
+  Alcotest.(check int) "shed rejections" 3 stats.Weaver.Service.shed_rejections;
+  Alcotest.(check int) "rejected total" 3 stats.Weaver.Service.rejected;
+  Alcotest.(check int) "completed" 4 stats.Weaver.Service.completed;
+  Alcotest.(check int) "failed" 6 stats.Weaver.Service.failed
 
 (* --- hedged launches --------------------------------------------------------- *)
 
-(* Warm the latency history with small queries, then submit one much
-   bigger query: its primary Resident attempt overruns the hedge cap
-   (the 50th percentile of the small costs), is declared the loser, and
-   the Streamed backup completes with sinks bit-identical to a solo
-   streamed run. Everything is simulated cycles, so the hedge decision
-   is deterministic. *)
+(* Warm the latency history with four small queries (the hedge
+   warm-up), then submit one much bigger query: its primary Resident
+   attempt overruns the hedge cap (the 50th percentile of the small
+   costs), is declared the loser, and the Streamed backup completes with
+   sinks bit-identical to a solo streamed run. Everything is simulated
+   cycles, so the hedge decision is deterministic. *)
 let hedge_config =
-  {
-    Weaver.Service.default_config with
-    Weaver.Service.queue_limit = 50;
-    hedge_quantile = Some 0.5;
-    hedge_min_samples = 2;
-  }
+  { Weaver.Service.queue_limit = 50; hedge_quantile = Some 0.5 }
+
+let warmups = [ 0; 1; 2; 3 ]
 
 let test_hedge_win () =
   let small = wl ~rows:200 (Tpch.Patterns.pattern_a ()) in
   let big = wl ~rows:2_500 (Tpch.Patterns.pattern_b ()) in
   let base_big_str = solo ~mode:Weaver.Runtime.Streamed big in
-  let reqs =
-    [ req ~rid:0 small; req ~rid:1 small; req ~rid:2 big ]
-  in
+  let reqs = List.map (fun rid -> req ~rid small) warmups @ [ req ~rid:4 big ] in
   let responses, stats = Weaver.Service.run_batch ~config:hedge_config reqs in
-  let rbig = List.nth responses 2 in
+  let rbig = List.nth responses 4 in
   Alcotest.(check bool) "big query was hedged" true
     rbig.Weaver.Service.hedged;
   let res = completed ~what:"hedged big query" rbig in
@@ -425,14 +414,14 @@ let test_hedge_win () =
   Alcotest.(check int) "one hedge issued" 1 stats.Weaver.Service.hedges;
   Alcotest.(check int) "hedge won" 1 stats.Weaver.Service.hedge_wins;
   Alcotest.(check int) "no hedge losses" 0 stats.Weaver.Service.hedge_losses;
-  (* the small queries never hedge: history was below hedge_min_samples *)
+  (* the warm-up queries never hedge: the history was too short *)
   List.iter
     (fun i ->
       Alcotest.(check bool)
         (Printf.sprintf "small %d unhedged" i)
         false
         (List.nth responses i).Weaver.Service.hedged)
-    [ 0; 1 ]
+    warmups
 
 (* A hedge whose backup ALSO runs out of deadline is a hedge loss: the
    request fails with the backup's typed deadline fault, still leak-free.
@@ -446,14 +435,11 @@ let test_hedge_loss_leak_free () =
     Weaver.Metrics.total_cycles (solo small).Weaver.Runtime.metrics
   in
   let reqs =
-    [
-      req ~rid:0 small;
-      req ~rid:1 small;
-      req ~rid:2 ~deadline_cycles:(1.5 *. small_cost) big;
-    ]
+    List.map (fun rid -> req ~rid small) warmups
+    @ [ req ~rid:4 ~deadline_cycles:(1.5 *. small_cost) big ]
   in
   let responses, stats = Weaver.Service.run_batch ~config:hedge_config reqs in
-  let rbig = List.nth responses 2 in
+  let rbig = List.nth responses 4 in
   Alcotest.(check bool) "big query was hedged" true
     rbig.Weaver.Service.hedged;
   let f = failed ~what:"hedge loss" rbig in
@@ -553,6 +539,167 @@ let test_rejection_counters () =
   Alcotest.(check bool) "prometheus has over-capacity counter" true
     (has "weaver_service_rejected_over_capacity_total 0")
 
+(* --- one ledger: the registry agrees with the stats ---------------------- *)
+
+(* every [weaver_service_*_total] line of a dump, with its value *)
+let service_counters dump =
+  String.split_on_char '\n' dump
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ name; v ]
+           when String.starts_with ~prefix:"weaver_service_" name
+                && String.ends_with ~suffix:"_total" name ->
+             Some (name, float_of_string v)
+         | _ -> None)
+
+let check_registry_agrees ~what ?config reqs =
+  let module S = Weaver.Service in
+  let module R = Weaver_obs.Registry in
+  let registry = R.create () in
+  let trace = Weaver_obs.Trace.create () in
+  let responses, s = S.run_batch ?config ~trace ~registry reqs in
+  let transitions =
+    List.length
+      (List.filter
+         (fun (e : Weaver_obs.Trace.event) ->
+           e.Weaver_obs.Trace.name = "brownout_level")
+         (Weaver_obs.Trace.events trace))
+  in
+  let expected =
+    [
+      ("submitted", s.S.submitted);
+      ("admitted", s.S.admitted);
+      ("rejected", s.S.rejected);
+      ("rejected_queue_full", s.S.queue_rejections);
+      ("rejected_over_capacity", s.S.capacity_rejections);
+      ("rejected_shed", s.S.shed_rejections);
+      ("completed", s.S.completed);
+      ("failed", s.S.failed);
+      ("deadline_misses", s.S.deadline_misses);
+      ("cancelled", s.S.cancelled);
+      ("budget_vetoes", s.S.budget_vetoes);
+      ("pre_demotions", s.S.pre_demotions);
+      ("hedges", s.S.hedges);
+      ("hedge_wins", s.S.hedge_wins);
+      ("hedge_losses", s.S.hedge_losses);
+      ("brownout_transitions", transitions);
+      ("corruptions_detected", s.S.corruptions_detected);
+      ("rollbacks", s.S.rollbacks);
+      ("checkpoints", s.S.checkpoints_taken);
+    ]
+  in
+  let dump = R.prometheus registry in
+  let lines = service_counters dump in
+  List.iter
+    (fun (name, v) ->
+      let key = "weaver_service_" ^ name ^ "_total" in
+      match List.assoc_opt key lines with
+      | None -> Alcotest.fail (Printf.sprintf "%s: %s missing" what key)
+      | Some got ->
+          Alcotest.(check (float 0.0)) (what ^ ": " ^ key) (float_of_int v) got)
+    expected;
+  Alcotest.(check int)
+    (what ^ ": no other service counters")
+    (List.length expected) (List.length lines);
+  List.iter
+    (fun g ->
+      Alcotest.(check bool)
+        (what ^ ": gauge " ^ g ^ " present")
+        true
+        (Astring_contains.contains dump ("\n" ^ g ^ " ")))
+    [
+      "weaver_service_queue_depth";
+      "weaver_service_brownout_level";
+      "weaver_service_throughput_qps";
+    ];
+  (* histogram counts: one sample per completed (latency, exec) or
+     executed (queue wait, per-operator rows) request *)
+  let metrics =
+    List.filter_map
+      (fun (r : S.response) ->
+        match r.S.verdict with
+        | S.Completed res -> Some (true, res.Weaver.Runtime.metrics)
+        | S.Failed f -> Some (false, f.Weaver.Runtime.partial)
+        | S.Rejected _ -> None)
+      responses
+  in
+  let completions = List.length (List.filter fst metrics) in
+  List.iter
+    (fun (h, n) ->
+      Alcotest.(check int) (what ^ ": " ^ h ^ " count") n (R.histogram_count registry h))
+    [
+      ("weaver_service_latency_cycles", completions);
+      ("weaver_service_exec_cycles", completions);
+      ("weaver_service_queue_wait_cycles", List.length metrics);
+    ];
+  let module A = Weaver_obs.Attrib in
+  let per_op = Hashtbl.create 16 in
+  List.iter
+    (fun (_, m) ->
+      List.iter
+        (fun (row : A.row) ->
+          let n = Option.value ~default:0 (Hashtbl.find_opt per_op row.A.op) in
+          Hashtbl.replace per_op row.A.op (n + 1))
+        (A.rows (Weaver.Metrics.attribution m)))
+    metrics;
+  Hashtbl.iter
+    (fun op n ->
+      let label = if op = A.overhead_op then "overhead" else string_of_int op in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: op %s samples" what label)
+        n
+        (R.histogram_count registry
+           (R.labeled "weaver_op_cycles" [ ("op", label) ])))
+    per_op;
+  (responses, s)
+
+(* One batch down every road: a deadline miss, a cancellation and an
+   over-capacity rejection push the ladder (with the deep-queue marks of
+   the first four admissions) to Shed; three shed rejections, three
+   Brownout probes and one Resident completion warm the hedge history;
+   the big query is hedged; the last request overflows the queue. A clean
+   one-request batch must expose every counter too, at zero. *)
+let test_registry_agrees_with_stats () =
+  let small = wl ~rows:200 (Tpch.Patterns.pattern_a ()) in
+  let big = wl ~rows:2_500 (Tpch.Patterns.pattern_b ()) in
+  let too_big =
+    wl ~rows:10_000
+      ~config:
+        {
+          tiny_config with
+          Weaver.Config.device =
+            { Device.tiny with Device.global_mem_bytes = 64 * 1024 };
+        }
+      (Tpch.Patterns.pattern_b ())
+  in
+  let aborted = Cancel.create () in
+  Cancel.cancel aborted (Fault.Cancelled { reason = "client abort (test)" });
+  let reqs =
+    [ req ~deadline_cycles:0.0 ~rid:0 small; req ~cancel:aborted ~rid:1 small;
+      req ~rid:2 too_big ]
+    @ List.init 7 (fun i -> req ~rid:(3 + i) small)
+    @ [ req ~rid:10 big; req ~rid:11 small ]
+  in
+  let _, s =
+    check_registry_agrees ~what:"mixed"
+      ~config:{ Weaver.Service.queue_limit = 10; hedge_quantile = Some 0.5 }
+      reqs
+  in
+  let module S = Weaver.Service in
+  List.iter
+    (fun (what, want, got) -> Alcotest.(check int) ("mixed: " ^ what) want got)
+    [
+      ("queue-full", 1, s.S.queue_rejections);
+      ("shed", 3, s.S.shed_rejections);
+      ("over-capacity", 1, s.S.capacity_rejections);
+      ("deadline misses", 1, s.S.deadline_misses);
+      ("cancelled", 1, s.S.cancelled);
+      ("hedges", 1, s.S.hedges);
+      ("hedge wins", 1, s.S.hedge_wins);
+      ("shed entries", 1, s.S.shed_entries);
+    ];
+  ignore (check_registry_agrees ~what:"clean" [ req ~rid:0 small ])
+
 let suite =
   [
     ("batch isolation vs solo runs", `Quick, test_batch_isolation);
@@ -570,4 +717,5 @@ let suite =
     ("hedge loss stays leak-free", `Quick, test_hedge_loss_leak_free);
     ("deadline veto under a cap hedges", `Quick, test_hedge_on_deadline_veto);
     ("dedicated rejection counters", `Quick, test_rejection_counters);
+    ("registry agrees with stats", `Quick, test_registry_agrees_with_stats);
   ]
