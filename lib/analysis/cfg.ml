@@ -17,7 +17,9 @@ type t = {
   preach : bool array;
   psuccs_ : int list array;
   ipd : int array;  (* pruned immediate post-dominator; nblocks = virtual exit *)
-  barfree : Dataflow.Bits.t array;  (* per block: blocks reachable bar-free *)
+  bar_term : bool array;  (* block ends in [Bar] *)
+  barfree : Dataflow.Bits.t option array;
+      (* per block, once queried: blocks reachable bar-free *)
 }
 
 let kernel t = t.k
@@ -27,6 +29,7 @@ let block_of t i = t.blk_of.(i)
 let reachable t b = t.reach.(b)
 let preachable t b = t.preach.(b)
 let psuccs t b = t.psuccs_.(b)
+let ipd t b = t.ipd.(b)
 
 (* Branch target as a body position; None when the label or its position
    is out of range (the analyzer must not crash on invalid kernels). *)
@@ -46,6 +49,82 @@ let dfs nb start_ok succs =
   in
   if nb > 0 && start_ok then go 0;
   seen
+
+(* Immediate post-dominators on the pruned graph, whose pruned-exit
+   blocks all flow to a virtual exit [nb]; -1 for blocks off the pruned
+   graph. Blocks that reach the exit get their parent in the
+   post-dominator tree (Cooper, Harvey & Kennedy, "A Simple, Fast
+   Dominance Algorithm", run on the reversed graph from the exit).
+
+   A pre-reachable block that cannot reach the exit has no tree parent.
+   Its answer reproduces the dense set formulation, where such a block's
+   post-dominator set stays the full node set and its immediate
+   post-dominator is the other node whose own set is largest, the
+   lowest index on ties. Set sizes are nb+1 off the tree and tree depth
+   (counting the exit) on it. *)
+let postdominators nb psuccs preach =
+  let exit_succs b = match psuccs.(b) with [] -> [ nb ] | ss -> ss in
+  let ppreds = Array.make (nb + 1) [] in
+  for b = nb - 1 downto 0 do
+    if preach.(b) then List.iter (fun s -> ppreds.(s) <- b :: ppreds.(s)) (exit_succs b)
+  done;
+  (* postorder number of each node in a DFS of the reversed graph from
+     the exit; -1 = cannot reach the exit *)
+  let po = Array.make (nb + 1) (-1) and visited = Array.make (nb + 1) false in
+  let rpo = ref [] and next = ref 0 in
+  let rec dfs v =
+    if not visited.(v) then begin
+      visited.(v) <- true;
+      List.iter dfs ppreds.(v);
+      po.(v) <- !next;
+      incr next;
+      rpo := v :: !rpo
+    end
+  in
+  dfs nb;
+  let idom = Array.make (nb + 1) (-1) in
+  idom.(nb) <- nb;
+  let rec intersect a b =
+    if a = b then a
+    else if po.(a) < po.(b) then intersect idom.(a) b
+    else intersect a idom.(b)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun b ->
+        if b <> nb then begin
+          let nd =
+            List.fold_left
+              (fun acc s ->
+                if idom.(s) < 0 then acc else if acc < 0 then s else intersect s acc)
+              (-1) (exit_succs b)
+          in
+          if nd <> idom.(b) then begin
+            idom.(b) <- nd;
+            changed := true
+          end
+        end)
+      !rpo
+  done;
+  let size = Array.make (nb + 1) (nb + 1) in
+  List.iter (fun v -> size.(v) <- (if v = nb then 1 else size.(idom.(v)) + 1)) !rpo;
+  (* the two lowest-index largest sets, for blocks off the tree *)
+  let best ~except =
+    let r = ref (-1) in
+    for v = 0 to nb do
+      if v <> except && (!r < 0 || size.(v) > size.(!r)) then r := v
+    done;
+    !r
+  in
+  let first = best ~except:(-1) in
+  let second = best ~except:first in
+  Array.init nb (fun b ->
+      if not preach.(b) then -1
+      else if po.(b) >= 0 then idom.(b)
+      else if b = first then second
+      else first)
 
 let build (k : Kir.kernel) =
   let n = Array.length k.body in
@@ -113,71 +192,11 @@ let build (k : Kir.kernel) =
       blocks
   in
   let preach = dfs nb (nb > 0 && not blocks.(0).traps) (fun b -> psuccs_.(b)) in
-  (* Post-dominator sets on the pruned graph, with a virtual exit [nb]
-     succeeding every pruned-exit block; sets are over nb+1 nodes. *)
-  let full () =
-    let s = Dataflow.Bits.create (nb + 1) in
-    for i = 0 to nb do
-      Dataflow.Bits.set s i
-    done;
-    s
+  let ipd = postdominators nb psuccs_ preach in
+  let bar_term =
+    Array.map (fun b -> match k.Kir.body.(b.last) with Kir.Bar -> true | _ -> false) blocks
   in
-  let pdom = Array.init (nb + 1) (fun _ -> full ()) in
-  let vexit = Dataflow.Bits.create (nb + 1) in
-  Dataflow.Bits.set vexit nb;
-  pdom.(nb) <- vexit;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = nb - 1 downto 0 do
-      if preach.(b) then begin
-        let ss = match psuccs_.(b) with [] -> [ nb ] | ss -> ss in
-        let acc = full () in
-        List.iter (fun s -> ignore (Dataflow.Bits.inter_into ~dst:acc pdom.(s))) ss;
-        Dataflow.Bits.set acc b;
-        if not (Dataflow.Bits.equal acc pdom.(b)) then begin
-          pdom.(b) <- acc;
-          changed := true
-        end
-      end
-    done
-  done;
-  let ipd =
-    Array.init nb (fun b ->
-        if not preach.(b) then -1
-        else begin
-          (* the immediate post-dominator is the strict post-dominator
-             with the largest own pdom set (they form a chain) *)
-          let best = ref nb and best_sz = ref (-1) in
-          Dataflow.Bits.iter
-            (fun p ->
-              if p <> b then begin
-                let sz = Dataflow.Bits.count pdom.(p) in
-                if sz > !best_sz then begin
-                  best := p;
-                  best_sz := sz
-                end
-              end)
-            pdom.(b);
-          !best
-        end)
-  in
-  (* Bar-free reachability on the full graph: edges out of a
-     Bar-terminated block cross the barrier and are dropped. *)
-  let bar_term b = match k.body.(blocks.(b).last) with Kir.Bar -> true | _ -> false in
-  let barfree =
-    Array.init nb (fun b0 ->
-        let s = Dataflow.Bits.create nb in
-        let rec go b =
-          if not (Dataflow.Bits.get s b) then begin
-            Dataflow.Bits.set s b;
-            if not (bar_term b) then List.iter go blocks.(b).succs
-          end
-        in
-        go b0;
-        s)
-  in
-  { k; blocks; blk_of; reach; preach; psuccs_; ipd; barfree }
+  { k; blocks; blk_of; reach; preach; psuccs_; ipd; bar_term; barfree = Array.make nb None }
 
 let cond_target t b =
   let blk = t.blocks.(b) in
@@ -239,8 +258,26 @@ let one_sided t b =
         Some (nonzero, zero)
     | _ -> None
 
+(* Bar-free reachability on the full graph: edges out of a
+   Bar-terminated block cross the barrier and are dropped. Computed per
+   block on first use. *)
+let barfree t b0 =
+  match t.barfree.(b0) with
+  | Some s -> s
+  | None ->
+      let s = Dataflow.Bits.create (nblocks t) in
+      let rec go b =
+        if not (Dataflow.Bits.get s b) then begin
+          Dataflow.Bits.set s b;
+          if not t.bar_term.(b) then List.iter go t.blocks.(b).succs
+        end
+      in
+      go b0;
+      t.barfree.(b0) <- Some s;
+      s
+
 let may_concurrent t a b =
-  Dataflow.Bits.get t.barfree.(a) b || Dataflow.Bits.get t.barfree.(b) a
+  Dataflow.Bits.get (barfree t a) b || Dataflow.Bits.get (barfree t b) a
 
 let iter_instrs t f =
   Array.iter

@@ -19,7 +19,10 @@
     - the {e barrier-free reachability} closure on the full graph:
       [may_concurrent] holds when two blocks can execute on opposite
       sides of no barrier, i.e. some path connects them without leaving
-      a [Bar]-terminated block. *)
+      a [Bar]-terminated block. It is computed per block on first use.
+
+    Post-dominators form a tree built by Cooper, Harvey & Kennedy's
+    iterative algorithm, near-linear in the number of blocks. *)
 
 type block = {
   id : int;
@@ -51,6 +54,14 @@ val psuccs : t -> int -> int list
 val cond_target : t -> int -> int option
 (** If block [b] ends in [Brz]/[Brnz] with an in-range target, the
     target block id (the fall-through block is [block_of (last+1)]). *)
+
+val ipd : t -> int -> int
+(** Immediate post-dominator of a pre-reachable block in the trap-pruned
+    graph; [nblocks] names the virtual exit, and blocks off the pruned
+    graph get [-1]. A pre-reachable block that cannot reach the exit has
+    no true post-dominator; it gets the answer of the classic dense
+    set formulation, whose sets for such blocks stay full: the other
+    node with the largest post-dominator set, lowest index on ties. *)
 
 val influence : t -> int -> int list
 (** Influence region of the conditional branch ending block [b]: blocks

@@ -49,7 +49,7 @@ let compute cfg_ =
     Dataflow.solve ~nblocks:nb ~direction:`Forward
       ~succs:(fun b -> (Cfg.block cfg_ b).Cfg.succs)
       ~preds:(fun b -> (Cfg.block cfg_ b).Cfg.preds)
-      ~boundary ~transfer
+      ~boundary ~transfer ()
   in
   { cfg_; n; in_; def_sites_; initialized_ }
 

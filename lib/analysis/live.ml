@@ -25,22 +25,27 @@ let compute cfg_ =
     Dataflow.solve ~nblocks:(Cfg.nblocks cfg_) ~direction:`Backward
       ~succs:(fun b -> (Cfg.block cfg_ b).Cfg.succs)
       ~preds:(fun b -> (Cfg.block cfg_ b).Cfg.preds)
-      ~boundary ~transfer
+      ~boundary ~transfer ()
   in
   { cfg_; in_; out }
 
 let live_in t b = t.in_.(b)
+let live_out t b = t.out.(b)
 
 let max_live t ~counted =
   let cfg_ = t.cfg_ in
   let k = Cfg.kernel cfg_ in
   let nregs = k.Kir.reg_count in
+  let mask = Dataflow.Bits.create (max nregs 1) in
+  Dataflow.Bits.fill mask;
+  for r = 0 to Dataflow.Bits.length mask - 1 do
+    if not (counted r) then Dataflow.Bits.clear mask r
+  done;
   let best = ref 0 and best_at = ref 0 in
   let weigh at live =
-    let c = ref 0 in
-    Dataflow.Bits.iter (fun r -> if counted r then incr c) live;
-    if !c > !best then begin
-      best := !c;
+    let c = Dataflow.Bits.count_inter live mask in
+    if c > !best then begin
+      best := c;
       best_at := at
     end
   in

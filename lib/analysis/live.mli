@@ -8,6 +8,9 @@ val compute : Cfg.t -> t
 val live_in : t -> int -> Dataflow.Bits.t
 (** Registers live on entry to a block. *)
 
+val live_out : t -> int -> Dataflow.Bits.t
+(** Registers live on exit from a block. *)
+
 val max_live : t -> counted:(int -> bool) -> int * int
 (** [(width, at)]: the maximum over all program points (in blocks
     reachable from entry) of the number of live registers satisfying

@@ -7,6 +7,7 @@ type access = {
   atomic : bool;
   base : int option;  (* static base address; None = may-alias wildcard *)
   lin : Sym.lin;
+  cls : Sym.core_class;  (* class of [lin.core] *)
   guards : Sym.node list;  (* singleton contexts enclosing the access *)
 }
 
@@ -50,7 +51,7 @@ let collect cfg sym =
         let add ~write ~atomic base_op idx_op =
           let bn = Sym.operand sym ~at:i base_op in
           let base = match bn.Sym.sh with Sym.Const c -> Some c | _ -> None in
-          let idx = Sym.operand sym ~at:i idx_op in
+          let lin = Sym.norm (Sym.operand sym ~at:i idx_op) in
           out :=
             {
               at = i;
@@ -58,7 +59,8 @@ let collect cfg sym =
               write;
               atomic;
               base;
-              lin = Sym.norm idx;
+              lin;
+              cls = Sym.classify sym lin.Sym.core;
               guards = guards.(b);
             }
             :: !out
@@ -83,12 +85,12 @@ let collect cfg sym =
    arena is reused across fused segments, so the same base may also
    carry an earlier segment's own-range tile writes — those are
    per-thread disjoint too and must not void the certificate. *)
-let scan_certified accesses sym p =
+let scan_certified accesses p =
   List.for_all
     (fun a ->
       (not a.write) || a.base <> Some p || a.guards <> []
       ||
-      match (a.lin.Sym.scale, Sym.classify sym a.lin.Sym.core, a.lin.Sym.off) with
+      match (a.lin.Sym.scale, a.cls, a.lin.Sym.off) with
       | s, Sym.COwn _, o when s >= 1 && o >= 0 && o < s -> true
       | _ -> false)
     accesses
@@ -109,7 +111,7 @@ let analyze cfg sym =
     match Hashtbl.find_opt certified p with
     | Some v -> v
     | None ->
-        let v = scan_certified accesses sym p in
+        let v = scan_certified accesses p in
         Hashtbl.replace certified p v;
         v
   in
@@ -140,9 +142,7 @@ let analyze cfg sym =
     else if a.base = None || b.base = None then
       report Diag.Warn a b "possible race (unresolved base address)"
     else
-      let ca = Sym.classify sym a.lin.Sym.core
-      and cb = Sym.classify sym b.lin.Sym.core in
-      match (ca, cb) with
+      match (a.cls, b.cls) with
       | Sym.CTid, Sym.CTid ->
           if not (stride_disjoint a b) then
             report Diag.Warn a b "possible race (tid slices overlap)"

@@ -10,7 +10,7 @@ type t = {
 let divergent t b = t.divergent_.(b)
 let tainted_block t b = t.tainted_.(b)
 
-let step_instr k nregs tainted ins cur =
+let step_instr nregs tainted ins cur =
   match Kir.defined_reg ins with
   | Some d when d >= 0 && d < nregs ->
       let op_varying =
@@ -22,67 +22,8 @@ let step_instr k nregs tainted ins cur =
       in
       let atom = match ins with Kir.Atom _ -> true | _ -> false in
       if op_varying || tainted || atom then Dataflow.Bits.set cur d
-      else Dataflow.Bits.clear cur d;
-      ignore k
+      else Dataflow.Bits.clear cur d
   | _ -> ()
-
-let compute cfg_ =
-  let k = Cfg.kernel cfg_ in
-  let nregs = k.Kir.reg_count in
-  let nb = Cfg.nblocks cfg_ in
-  let divergent_ = Array.make (max nb 1) false in
-  let tainted_ = Array.make (max nb 1) false in
-  let boundary = Dataflow.Bits.create (max nregs 1) in
-  if nregs > 0 then Dataflow.Bits.set boundary 0;
-  let in_ = ref [||] in
-  let solve () =
-    let transfer b facts =
-      let cur = Dataflow.Bits.copy facts in
-      let blk = Cfg.block cfg_ b in
-      for i = blk.Cfg.first to blk.Cfg.last do
-        step_instr k nregs tainted_.(b) k.Kir.body.(i) cur
-      done;
-      cur
-    in
-    let i, _o =
-      Dataflow.solve ~nblocks:nb ~direction:`Forward
-        ~succs:(fun b -> (Cfg.block cfg_ b).Cfg.succs)
-        ~preds:(fun b -> (Cfg.block cfg_ b).Cfg.preds)
-        ~boundary ~transfer
-    in
-    in_ := i
-  in
-  let varying_at_ at r =
-    let b = Cfg.block_of cfg_ at in
-    let cur = Dataflow.Bits.copy !in_.(b) in
-    let blk = Cfg.block cfg_ b in
-    for i = blk.Cfg.first to at - 1 do
-      step_instr k nregs tainted_.(b) k.Kir.body.(i) cur
-    done;
-    r >= 0 && r < nregs && Dataflow.Bits.get cur r
-  in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    solve ();
-    for b = 0 to nb - 1 do
-      if (not divergent_.(b)) && Cfg.preachable cfg_ b then begin
-        let blk = Cfg.block cfg_ b in
-        let two_way = match Cfg.psuccs cfg_ b with _ :: _ :: _ -> true | _ -> false in
-        let cond_varying =
-          match k.Kir.body.(blk.Cfg.last) with
-          | Kir.Brz (Kir.Reg c, _) | Kir.Brnz (Kir.Reg c, _) -> varying_at_ blk.Cfg.last c
-          | _ -> false
-        in
-        if two_way && cond_varying then begin
-          divergent_.(b) <- true;
-          List.iter (fun r -> tainted_.(r) <- true) (Cfg.influence cfg_ b);
-          progress := true
-        end
-      end
-    done
-  done;
-  { cfg_; in_ = !in_; divergent_; tainted_ }
 
 let varying_at t ~at r =
   let k = Cfg.kernel t.cfg_ in
@@ -91,6 +32,55 @@ let varying_at t ~at r =
   let cur = Dataflow.Bits.copy t.in_.(b) in
   let blk = Cfg.block t.cfg_ b in
   for i = blk.Cfg.first to at - 1 do
-    step_instr k nregs t.tainted_.(b) k.Kir.body.(i) cur
+    step_instr nregs t.tainted_.(b) k.Kir.body.(i) cur
   done;
   r >= 0 && r < nregs && Dataflow.Bits.get cur r
+
+let compute cfg_ =
+  let k = Cfg.kernel cfg_ in
+  let nregs = k.Kir.reg_count in
+  let nb = Cfg.nblocks cfg_ in
+  let tainted_ = Array.make (max nb 1) false in
+  let boundary = Dataflow.Bits.create (max nregs 1) in
+  if nregs > 0 then Dataflow.Bits.set boundary 0;
+  let transfer b facts =
+    let cur = Dataflow.Bits.copy facts in
+    let blk = Cfg.block cfg_ b in
+    for i = blk.Cfg.first to blk.Cfg.last do
+      step_instr nregs tainted_.(b) k.Kir.body.(i) cur
+    done;
+    cur
+  in
+  (* Taint only grows between solves, so each transfer grows pointwise
+     and the previous fixpoint lies below the next one: every re-solve
+     starts from it. *)
+  let solve start =
+    Dataflow.solve ?start ~nblocks:nb ~direction:`Forward
+      ~succs:(fun b -> (Cfg.block cfg_ b).Cfg.succs)
+      ~preds:(fun b -> (Cfg.block cfg_ b).Cfg.preds)
+      ~boundary ~transfer ()
+  in
+  let t = { cfg_; in_ = [||]; divergent_ = Array.make (max nb 1) false; tainted_ } in
+  let rec fix t start =
+    let ((in_, _) as fixpoint) = solve start in
+    let t = { t with in_ } in
+    let progress = ref false in
+    for b = 0 to nb - 1 do
+      if (not t.divergent_.(b)) && Cfg.preachable cfg_ b then begin
+        let blk = Cfg.block cfg_ b in
+        let two_way = match Cfg.psuccs cfg_ b with _ :: _ :: _ -> true | _ -> false in
+        let cond_varying =
+          match k.Kir.body.(blk.Cfg.last) with
+          | Kir.Brz (Kir.Reg c, _) | Kir.Brnz (Kir.Reg c, _) -> varying_at t ~at:blk.Cfg.last c
+          | _ -> false
+        in
+        if two_way && cond_varying then begin
+          t.divergent_.(b) <- true;
+          List.iter (fun r -> tainted_.(r) <- true) (Cfg.influence cfg_ b);
+          progress := true
+        end
+      end
+    done;
+    if !progress then fix t (Some fixpoint) else t
+  in
+  fix t None

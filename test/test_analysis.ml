@@ -34,56 +34,63 @@ let expect_invalid what k needle =
 
 (* ---- Kir_validate error paths ---- *)
 
+let label_past_end () = raw_kernel ~labels:[| 2 |] [| Kir.Br 0; Kir.Ret |]
+
 let test_validate_label_past_end () =
-  let k = raw_kernel ~labels:[| 2 |] [| Kir.Br 0; Kir.Ret |] in
-  expect_invalid "label at n" k "resolves out of bounds"
+  expect_invalid "label at n" (label_past_end ()) "resolves out of bounds"
+
+let const_shared_store () =
+  raw_kernel ~shared_words:4
+    [|
+      Kir.St
+        { space = Kir.Shared; base = Kir.Imm 0; idx = Kir.Imm 4;
+          src = Kir.Imm 1; width = 4 };
+      Kir.Ret;
+    |]
+
+let const_shared_load () =
+  raw_kernel ~shared_words:4
+    [|
+      Kir.Ld
+        { space = Kir.Shared; dst = 5; base = Kir.Imm 3; idx = Kir.Imm 1;
+          width = 4 };
+      Kir.Ret;
+    |]
 
 let test_validate_const_shared_oob () =
-  let k =
-    raw_kernel ~shared_words:4
-      [|
-        Kir.St
-          { space = Kir.Shared; base = Kir.Imm 0; idx = Kir.Imm 4;
-            src = Kir.Imm 1; width = 4 };
-        Kir.Ret;
-      |]
-  in
-  expect_invalid "constant shared store" k "constant shared access";
-  let k =
-    raw_kernel ~shared_words:4
-      [|
-        Kir.Ld
-          { space = Kir.Shared; dst = 5; base = Kir.Imm 3; idx = Kir.Imm 1;
-            width = 4 };
-        Kir.Ret;
-      |]
-  in
-  expect_invalid "constant shared load" k "constant shared access"
+  expect_invalid "constant shared store" (const_shared_store ())
+    "constant shared access";
+  expect_invalid "constant shared load" (const_shared_load ())
+    "constant shared access"
+
+let duplicate_loop_heads () =
+  raw_kernel ~labels:[| 0; 0 |]
+    [|
+      Kir.Bin (Kir.Add, 5, Kir.Reg 5, Kir.Imm 1);
+      Kir.Brz (Kir.Reg 5, 0);
+      Kir.Brnz (Kir.Reg 5, 1);
+      Kir.Ret;
+    |]
 
 let test_validate_duplicate_loop_heads () =
-  let k =
-    raw_kernel ~labels:[| 0; 0 |]
-      [|
-        Kir.Bin (Kir.Add, 5, Kir.Reg 5, Kir.Imm 1);
-        Kir.Brz (Kir.Reg 5, 0);
-        Kir.Brnz (Kir.Reg 5, 1);
-        Kir.Ret;
-      |]
-  in
-  expect_invalid "duplicate loop heads" k "both loop heads"
+  expect_invalid "duplicate loop heads" (duplicate_loop_heads ()) "both loop heads"
+
+let unreachable_branch () = raw_kernel ~labels:[| 0 |] [| Kir.Ret; Kir.Br 0 |]
 
 let test_validate_unreachable_branch () =
-  let k = raw_kernel ~labels:[| 0 |] [| Kir.Ret; Kir.Br 0 |] in
-  expect_invalid "unreachable branch" k "unreachable code"
+  expect_invalid "unreachable branch" (unreachable_branch ()) "unreachable code"
 
-let test_validate_clean_kernel () =
+let clean_kernel () =
   let b = Kir_builder.create ~name:"ok" ~params:1 () in
   let base = Kir_builder.alloc_shared b ~words:2 ~bytes:8 in
   Kir_builder.for_range b ~start:(Kir.Imm 0) ~stop:(Kir.Imm 2) ~step:(Kir.Imm 1)
     (fun i ->
       Kir_builder.st b Kir.Shared ~base ~idx:(Kir.Reg i) ~src:(Kir.Reg i)
         ~width:4);
-  (match Kir_validate.check (Kir_builder.finish b) with
+  Kir_builder.finish b
+
+let test_validate_clean_kernel () =
+  (match Kir_validate.check (clean_kernel ()) with
   | Ok () -> ()
   | Error msgs -> Alcotest.failf "clean kernel rejected: %s" (String.concat "; " msgs))
 
@@ -107,25 +114,34 @@ let expect_pass what k pass =
     Alcotest.failf "%s: expected a gating %S diagnostic, got [%s]" what pass
       (String.concat "; " passes)
 
-let test_divergent_barrier () =
+let divergent_barrier () =
   let b = Kir_builder.create ~name:"divbar" ~params:0 () in
   let c = Kir_builder.cmp b Kir.Lt Kir_builder.tid (Kir.Imm 1) in
   Kir_builder.if_ b (Kir.Reg c) (fun () -> Kir_builder.bar b);
-  expect_pass "tid-guarded barrier" (Kir_builder.finish b) "divergence"
+  Kir_builder.finish b
 
-let test_shared_race () =
+let test_divergent_barrier () =
+  expect_pass "tid-guarded barrier" (divergent_barrier ()) "divergence"
+
+let shared_race () =
   let b = Kir_builder.create ~name:"race" ~params:0 () in
   let base = Kir_builder.alloc_shared b ~words:1 ~bytes:4 in
   Kir_builder.st b Kir.Shared ~base ~idx:(Kir.Imm 0) ~src:Kir_builder.tid
     ~width:4;
-  expect_pass "all threads store one word" (Kir_builder.finish b) "race"
+  Kir_builder.finish b
 
-let test_no_race_when_tid_indexed () =
+let test_shared_race () =
+  expect_pass "all threads store one word" (shared_race ()) "race"
+
+let tid_indexed_store () =
   let b = Kir_builder.create ~name:"perthread" ~params:0 () in
   let base = Kir_builder.alloc_shared b ~words:1024 ~bytes:4096 in
   Kir_builder.st b Kir.Shared ~base ~idx:Kir_builder.tid ~src:(Kir.Imm 7)
     ~width:4;
-  let r = Weaver.Runtime.analyze_kernel (Kir_builder.finish b) in
+  Kir_builder.finish b
+
+let test_no_race_when_tid_indexed () =
+  let r = Weaver.Runtime.analyze_kernel (tid_indexed_store ()) in
   Alcotest.(check int)
     "tid-sliced store is race-free" 0
     (List.length
@@ -133,17 +149,22 @@ let test_no_race_when_tid_indexed () =
           (fun d -> d.Weaver_analysis.Diag.pass = "race")
           (Weaver_analysis.Analysis.gating r)))
 
-let test_uninitialized_read () =
+let uninitialized_read () =
   let b = Kir_builder.create ~name:"uninit" ~params:0 () in
   let r = Kir_builder.fresh b in
   ignore (Kir_builder.bin b Kir.Add (Kir.Reg r) (Kir.Imm 1));
-  expect_pass "never-written register read" (Kir_builder.finish b) "hygiene"
+  Kir_builder.finish b
+
+let test_uninitialized_read () =
+  expect_pass "never-written register read" (uninitialized_read ()) "hygiene"
+
+let dead_store () =
+  let b = Kir_builder.create ~name:"dead" ~params:0 () in
+  ignore (Kir_builder.mov b (Kir.Imm 42));
+  Kir_builder.finish b
 
 let test_dead_store_hint () =
-  let b = Kir_builder.create ~name:"dead" ~params:0 () in
-  let r = Kir_builder.mov b (Kir.Imm 42) in
-  ignore r;
-  let report = Weaver.Runtime.analyze_kernel (Kir_builder.finish b) in
+  let report = Weaver.Runtime.analyze_kernel (dead_store ()) in
   (* advisory only: a dead store is a hint and must not gate *)
   Alcotest.(check int)
     "dead store does not gate" 0
@@ -175,7 +196,7 @@ let fused_compute () =
   in
   find program.Weaver.Runtime.units
 
-let test_defect_deleted_bar () =
+let deleted_bar () =
   let k = fused_compute () in
   let dropped = ref false in
   let body =
@@ -189,19 +210,43 @@ let test_defect_deleted_bar () =
       k.Kir.body
   in
   Alcotest.(check bool) "kernel had a barrier to delete" true !dropped;
-  let defective = { k with Kir.body } in
-  if Weaver_analysis.Analysis.gating (Weaver.Runtime.analyze_kernel defective) = []
+  { k with Kir.body }
+
+let test_defect_deleted_bar () =
+  if Weaver_analysis.Analysis.gating (Weaver.Runtime.analyze_kernel (deleted_bar ())) = []
   then Alcotest.fail "deleting a barrier must produce a gating diagnostic"
 
-let test_defect_shrunk_shared () =
+let shrunk_shared () =
   let k = fused_compute () in
-  let defective = { k with Kir.shared_words = k.Kir.shared_words - 2 } in
-  expect_pass "shrunk shared_words" defective "resource"
+  { k with Kir.shared_words = k.Kir.shared_words - 2 }
+
+let test_defect_shrunk_shared () =
+  expect_pass "shrunk shared_words" (shrunk_shared ()) "resource"
+
+let shrunk_regs () = { (fused_compute ()) with Kir.regs_per_thread = 2 }
 
 let test_defect_shrunk_regs () =
-  let k = fused_compute () in
-  let defective = { k with Kir.regs_per_thread = 2 } in
-  expect_pass "understated register budget" defective "resource"
+  expect_pass "understated register budget" (shrunk_regs ()) "resource"
+
+(* Every hand-built and seeded-defect kernel above, for the
+   differential test of the analyzer. *)
+let hand_built () =
+  [
+    ("label past end", label_past_end ());
+    ("constant shared store", const_shared_store ());
+    ("constant shared load", const_shared_load ());
+    ("duplicate loop heads", duplicate_loop_heads ());
+    ("unreachable branch", unreachable_branch ());
+    ("clean kernel", clean_kernel ());
+    ("divergent barrier", divergent_barrier ());
+    ("shared race", shared_race ());
+    ("tid-indexed store", tid_indexed_store ());
+    ("uninitialized read", uninitialized_read ());
+    ("dead store", dead_store ());
+    ("deleted barrier", deleted_bar ());
+    ("shrunk shared_words", shrunk_shared ());
+    ("understated registers", shrunk_regs ());
+  ]
 
 (* ---- the flip side: everything the weaver produces is clean ---- *)
 

@@ -13,6 +13,7 @@ let () =
       ("tpch", Test_tpch.suite);
       ("property", Test_property.suite);
       ("analysis", Test_analysis.suite);
+      ("analysis-diff", Test_analysis_diff.suite);
       ("rewrite", Test_rewrite.suite);
       ("harness", Test_harness.suite);
       ("runtime-paths", Test_runtime_paths.suite);
