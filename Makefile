@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test analyze bench-smoke soak explain loc check clean
+.PHONY: all build test analyze bench-smoke bench-diff soak explain loc check clean
 
 all: build
 
@@ -16,6 +16,15 @@ test:
 # environment variable (the CI matrix axis) picks the worker count.
 bench-smoke: build
 	dune exec bench/main.exe -- --jobs 0 --json _build/bench-quick.json quick
+
+# Compare two saved perfbench outputs (stdout of perfbench/run.sh) on the
+# end-to-end metrics of BENCHMARK.json: prints each relative change and
+# fails if any metric got worse than its bound.
+#   make bench-diff OLD=parent.out NEW=change.out
+bench-diff:
+	@test -n "$(OLD)" && test -n "$(NEW)" || \
+	  { echo "usage: make bench-diff OLD=file NEW=file" >&2; exit 2; }
+	@sh scripts/bench-diff.sh "$(OLD)" "$(NEW)"
 
 # Robustness soak: seeded flip storms across the three integrity
 # postures (no-integrity / verify / verify+checkpoint; detection,

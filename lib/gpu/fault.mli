@@ -80,7 +80,7 @@ type t =
   | Transfer_failure of { direction : direction; bytes : int; injected : bool }
   | Data_corrupted of {
       buffer : int;  (** the buffer handle whose certificate mismatched *)
-      expected : int;  (** the recorded FNV-1a integrity certificate *)
+      expected : int;  (** the recorded integrity certificate (word digest) *)
       got : int;  (** the checksum observed at the verification site *)
       site : string;  (** where verification fired (d2h, publish, ...) *)
     }

@@ -4,8 +4,8 @@ type entry = {
   label : string;
   mutable live : bool;
   mutable cert : int option;
-      (* FNV-1a integrity certificate over the buffer's words, recorded at
-         PCIe boundaries and segment-output adoption (see Runtime) *)
+      (* integrity certificate: the digest of the buffer's words, recorded
+         at PCIe boundaries and segment-output adoption (see Runtime) *)
 }
 
 type t = {
@@ -20,20 +20,52 @@ type t = {
 
 type buffer = int
 
-(* FNV-1a over the buffer's 63-bit words, each folded in as 8 octets.
-   Cheap, word-granular and order-sensitive: any single bit flip changes
-   the digest. Masked to a non-negative OCaml int. *)
+(* Word-at-a-time digest over the buffer's 63-bit words. Four lanes take
+   the words round-robin (a tail of up to three goes to lane [a]); each
+   word is one step [x = (h lxor w) * mul; h <- x lxor (x lsr 31)]. The
+   length and then the four lanes are folded into the result by the same
+   step. For a fixed word every step is a bijection of the running state
+   (xor; multiplication by an odd constant modulo 2^63; an xorshift), so
+   changing any single word always changes the digest. The lanes are
+   independent multiply chains, which lets them overlap in the pipeline.
+   The step is written out at each use, not through a helper: a variant
+   with a helper was reported to slow q21-repeat's interpreter through
+   code layout, so measure every perfbench workload before reshaping
+   this loop. *)
+let mul = 0x1E3779B97F4A7C15
+
 let checksum_words (data : int array) =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  for i = 0 to Array.length data - 1 do
-    let w = ref (Int64.of_int data.(i)) in
-    for _ = 0 to 7 do
-      h := Int64.mul (Int64.logxor !h (Int64.logand !w 0xffL)) prime;
-      w := Int64.shift_right_logical !w 8
-    done
+  let n = Array.length data in
+  let a = ref 0x0123456789ABCDEF and b = ref 0x3C6EF372FE94F82B in
+  let c = ref 0x2545F4914F6CDD1D and d = ref 0x1B873593CC9E2D51 in
+  let i = ref 0 in
+  while !i + 3 < n do
+    let j = !i in
+    let x = (!a lxor data.(j)) * mul in
+    a := x lxor (x lsr 31);
+    let x = (!b lxor data.(j + 1)) * mul in
+    b := x lxor (x lsr 31);
+    let x = (!c lxor data.(j + 2)) * mul in
+    c := x lxor (x lsr 31);
+    let x = (!d lxor data.(j + 3)) * mul in
+    d := x lxor (x lsr 31);
+    i := j + 4
   done;
-  Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
+  while !i < n do
+    let x = (!a lxor data.(!i)) * mul in
+    a := x lxor (x lsr 31);
+    incr i
+  done;
+  let x = n * mul in
+  let h = x lxor (x lsr 31) in
+  let x = (h lxor !a) * mul in
+  let h = x lxor (x lsr 31) in
+  let x = (h lxor !b) * mul in
+  let h = x lxor (x lsr 31) in
+  let x = (h lxor !c) * mul in
+  let h = x lxor (x lsr 31) in
+  let x = (h lxor !d) * mul in
+  x lxor (x lsr 31)
 
 (* The corruptor the fault injector's [:flip] kind calls: pick one live
    *certified* buffer (the high-stakes data at rest that crossed a
@@ -55,6 +87,8 @@ let apply_flip t h =
       let e = Hashtbl.find t.entries id in
       let h2 = Fault_inject.mix (h lxor 0x5bd1e995) in
       let word = h2 mod Array.length e.data in
+      (* the digest sees all 63 bits; the 0..61 range only pins where
+         each seeded flip lands *)
       let bit = Fault_inject.mix (h2 + 1) mod 62 in
       e.data.(word) <- e.data.(word) lxor (1 lsl bit);
       Weaver_obs.Trace.instant t.trace ~lane:Weaver_obs.Trace.Mem "bit_flip"

@@ -46,7 +46,7 @@ val live_buffers : t -> (buffer * string) list
     leak. *)
 
 (* Integrity certificates (silent-data-corruption defense). A buffer may
-   carry an FNV-1a digest of its words, recorded by the runtime at PCIe
+   carry a digest of its words, recorded by the runtime at PCIe
    transfer boundaries and at segment-output adoption; verification
    recomputes the digest and raises a typed fault on mismatch. The fault
    injector's [:flip] kind targets only certified buffers (the data at
@@ -54,7 +54,11 @@ val live_buffers : t -> (buffer * string) list
    operator), so every injected flip is detectable. *)
 
 val checksum : t -> buffer -> int
-(** FNV-1a digest over the buffer's current words (padding included). *)
+(** Digest over the buffer's current words (padding included): one
+    multiply-xorshift step per word, in four interleaved lanes, with the
+    length and the lanes folded in by the same step. Every step is a
+    bijection of the running state, so changing any single word always
+    changes the digest. Deterministic, and may be negative. *)
 
 val certify : t -> buffer -> unit
 (** Record the buffer's current digest as its integrity certificate.

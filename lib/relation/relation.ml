@@ -62,16 +62,16 @@ let compare_key schema ~key_arity a b =
 let compare_tuple schema a b =
   compare_key schema ~key_arity:(Schema.arity schema) a b
 
-(* Stable-sort a permutation of row indices over the flat array, comparing
-   key columns in place (floats as floats) with the index as the final
-   tie-break, then gather the rows once. *)
-let sort ~key_arity t =
-  let ar = arity t and data = t.data in
+(* The order [sort] uses on rows of a flat row-major array: key columns
+   compared in place (floats as f32 under [Float.compare], the rest as
+   ints), with the row index as the final tie-break. *)
+let row_order schema ~key_arity data =
+  let ar = Schema.arity schema in
   let is_float =
     Array.init (max 0 (min key_arity ar)) (fun j ->
-        Dtype.is_float (Schema.dtype t.schema j))
+        Dtype.is_float (Schema.dtype schema j))
   in
-  let cmp i1 i2 =
+  fun i1 i2 ->
     let rec go j =
       if j >= key_arity then Int.compare i1 i2
       else
@@ -83,20 +83,26 @@ let sort ~key_arity t =
         if c <> 0 then c else go (j + 1)
     in
     go 0
-  in
+
+(* Stable-sort a permutation of row indices over the flat array, then
+   gather the rows once. *)
+let sort ~key_arity t =
+  let ar = arity t and data = t.data in
   let perm = Array.init t.count Fun.id in
-  Array.stable_sort cmp perm;
+  Array.stable_sort (row_order t.schema ~key_arity data) perm;
   let sorted = Array.make (t.count * ar) 0 in
   Array.iteri (fun i src -> Array.blit data (src * ar) sorted (i * ar) ar) perm;
   { t with data = sorted }
 
+(* With the index tie-break, [cmp i (i + 1) < 0] exactly when row [i]'s key
+   is not above row [i + 1]'s. *)
+let is_sorted_words schema ~key_arity ~rows data =
+  let cmp = row_order schema ~key_arity data in
+  let rec go i = i + 1 >= rows || (cmp i (i + 1) < 0 && go (i + 1)) in
+  go 0
+
 let is_sorted ~key_arity t =
-  let ok = ref true in
-  for i = 0 to t.count - 2 do
-    if compare_key t.schema ~key_arity (get t i) (get t (i + 1)) > 0 then
-      ok := false
-  done;
-  !ok
+  is_sorted_words t.schema ~key_arity ~rows:t.count t.data
 
 let equal_multiset a b =
   Schema.compatible a.schema b.schema

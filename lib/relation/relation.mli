@@ -50,6 +50,15 @@ val sort : key_arity:int -> t -> t
     relation. *)
 
 val is_sorted : key_arity:int -> t -> bool
+(** Whether {!sort} would leave the relation's data unchanged: adjacent
+    rows compared in place under {!sort}'s per-column order, stopping at
+    the first descent. *)
+
+val is_sorted_words :
+  Schema.t -> key_arity:int -> rows:int -> int array -> bool
+(** {!is_sorted} over the first [rows] rows of a flat row-major array with
+    the given schema (e.g. a device buffer, whose padding past [rows] is
+    ignored), without copying it. *)
 
 val equal_multiset : t -> t -> bool
 (** Same tuples with the same multiplicities, ignoring order. Schemas must

@@ -66,7 +66,7 @@ type t = {
           {!Gpu_sim.Fault.Static_rejected}. On by default; turn off to
           benchmark codegen without the certification cost. *)
   integrity : bool;
-      (** verify buffer integrity certificates (FNV-1a digests recorded at
+      (** verify buffer integrity certificates (word digests recorded at
           PCIe transfer boundaries and at segment-output adoption) at
           every downstream use and release; a mismatch fails the attempt
           with {!Gpu_sim.Fault.Data_corrupted} and enters recovery instead

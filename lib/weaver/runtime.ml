@@ -365,9 +365,15 @@ let ensure_sorted st (m : mat) ~key_arity =
   (* verify first: a flip that landed since certification must not be
      laundered into a freshly recertified "sorted" rewrite *)
   check_mat st m ~site:"sort_invariant";
-  let rel = device_view st m in
-  if not (Relation.is_sorted ~key_arity rel) then begin
-    let sorted = Relation.sort ~key_arity rel in
+  let sorted_now =
+    match m.buf with
+    | Some b ->
+        Relation.is_sorted_words m.schema ~key_arity ~rows:m.rows
+          (Memory.data st.mem b)
+    | None -> Relation.is_sorted ~key_arity (Option.get m.host)
+  in
+  if not sorted_now then begin
+    let sorted = Relation.sort ~key_arity (device_view st m) in
     (match m.buf with
     | Some b ->
         Array.blit (Relation.data sorted) 0 (Memory.data st.mem b) 0

@@ -1,8 +1,10 @@
 (* Buffer integrity certificates — the Memory-level silent-corruption
    defense — and the fault taxonomy's derived printers/equality.
 
-   Unit coverage: FNV-1a checksums over the backing words (deterministic,
-   single-bit sensitive), certification and verification sites, the
+   Unit coverage: the word digest over the backing words (deterministic,
+   a pinned value, and the single-word law: changing any one word changes
+   the digest, checked exhaustively per bit on short buffers and by
+   QCheck), certification and verification sites, the
    mismatch sweep, the injector's :flip corruptor (exactly one bit of one
    word of one live certified buffer), and an exhaustiveness check that
    walks every Fault constructor through equal/pp/show/render. *)
@@ -36,6 +38,108 @@ let test_checksum () =
       (Memory.data mem b).(7) <- 0)
     [ 0; 13; 31; 47; 61 ];
   Memory.free mem b
+
+(* A fresh buffer holding [words], through the Memory API. *)
+let buffer_of mem words =
+  let b =
+    Memory.alloc ~label:"d" mem ~words:(Array.length words)
+      ~bytes:(8 * Array.length words)
+  in
+  Array.blit words 0 (Memory.data mem b) 0 (Array.length words);
+  b
+
+(* Every bit 0-62 of every word of buffers of 1-9 words (straddling the
+   lane count): the flip is visible and undoing it restores the digest. *)
+let test_single_bit_exhaustive () =
+  let mem = Memory.create Device.fermi_c2050 in
+  for n = 1 to 9 do
+    let b =
+      buffer_of mem (Array.init n (fun i -> Fault_inject.mix (1000 + i)))
+    in
+    let d = Memory.data mem b and c0 = Memory.checksum mem b in
+    for i = 0 to n - 1 do
+      for bit = 0 to 62 do
+        d.(i) <- d.(i) lxor (1 lsl bit);
+        if Memory.checksum mem b = c0 then
+          Alcotest.failf "len %d: flipping bit %d of word %d kept the digest" n
+            bit i;
+        d.(i) <- d.(i) lxor (1 lsl bit);
+        if Memory.checksum mem b <> c0 then
+          Alcotest.failf "len %d: undoing bit %d of word %d lost the digest" n
+            bit i
+      done
+    done;
+    Memory.free mem b
+  done
+
+(* The digest of a fixed buffer is pinned, so that any change to the
+   digest function is a visible test edit. *)
+let test_digest_pinned () =
+  let mem = Memory.create Device.fermi_c2050 in
+  let b = buffer_of mem (Array.init 10 (fun i -> (i * 0x9E3779B9) - 7)) in
+  Alcotest.(check int) "pinned digest" (-52831198957417403)
+    (Memory.checksum mem b);
+  let z = buffer_of mem [| 0 |] and z2 = buffer_of mem [| 0; 0 |] in
+  Alcotest.(check bool)
+    "zero buffers of different lengths differ" true
+    (Memory.checksum mem z <> Memory.checksum mem z2)
+
+(* Seeded two-word changes: no digest equals the original's or that of a
+   different change (a repeated change maps to the same digest). Half
+   replace both words with random values, half flip one random bit in
+   each. *)
+let test_two_word_changes () =
+  let mem = Memory.create Device.fermi_c2050 in
+  let rng = Random.State.make [| 17 |] in
+  let n = 23 in
+  let b = buffer_of mem (Array.init n (fun _ -> Random.State.bits rng)) in
+  let d = Memory.data mem b and c0 = Memory.checksum mem b in
+  let seen = Hashtbl.create 20_000 in
+  Hashtbl.replace seen c0 None;
+  for trial = 1 to 20_000 do
+    let i = Random.State.int rng n in
+    let j = (i + 1 + Random.State.int rng (n - 1)) mod n in
+    let wi = d.(i) and wj = d.(j) in
+    let change w =
+      if trial land 1 = 0 then w lxor (1 lsl Random.State.int rng 63)
+      else
+        let v = Random.State.bits rng lor (Random.State.bits rng lsl 30) in
+        if v = w then lnot w else v
+    in
+    d.(i) <- change wi;
+    d.(j) <- change wj;
+    let key = Some (min i j, d.(min i j), max i j, d.(max i j)) in
+    let c = Memory.checksum mem b in
+    (match Hashtbl.find_opt seen c with
+    | Some k when k <> key ->
+        Alcotest.failf "trial %d: changing words %d and %d collides" trial i j
+    | _ -> Hashtbl.replace seen c key);
+    d.(i) <- wi;
+    d.(j) <- wj
+  done;
+  Alcotest.(check int) "buffer restored" c0 (Memory.checksum mem b)
+
+let prop_one_word_replacement =
+  let gen =
+    QCheck.Gen.(
+      let* words = array_size (int_range 1 40) int in
+      let* i = int_bound (Array.length words - 1) in
+      let* v = int in
+      return (words, i, v))
+  in
+  let print (words, i, v) =
+    Printf.sprintf "[%s] word %d := %d"
+      (String.concat ";" (Array.to_list (Array.map string_of_int words)))
+      i v
+  in
+  QCheck.Test.make ~name:"replacing one word changes the digest" ~count:2000
+    (QCheck.make ~print gen) (fun (words, i, v) ->
+      QCheck.assume (words.(i) <> v);
+      let mem = Memory.create Device.fermi_c2050 in
+      let b = buffer_of mem words in
+      let c0 = Memory.checksum mem b in
+      (Memory.data mem b).(i) <- v;
+      Memory.checksum mem b <> c0)
 
 (* --- certify / verify -------------------------------------------------------- *)
 
@@ -211,7 +315,11 @@ let test_config_defaults () =
 
 let suite =
   [
-    ("FNV-1a checksum", `Quick, test_checksum);
+    ("word digest checksum", `Quick, test_checksum);
+    ("digest single-bit law, lengths 1-9", `Quick, test_single_bit_exhaustive);
+    ("digest pinned value", `Quick, test_digest_pinned);
+    ("digest two-word changes never collide", `Quick, test_two_word_changes);
+    QCheck_alcotest.to_alcotest prop_one_word_replacement;
     ("certify/verify/mismatch sweep", `Quick, test_certify_verify);
     ("injector :flip corrupts one bit", `Quick, test_injector_flip);
     ("flip with no certified target is a no-op", `Quick,

@@ -213,10 +213,9 @@ let prop_sort_idempotent =
       Relation.equal_multiset r (Relation.sort ~key_arity:1 r)
       && Relation.is_sorted ~key_arity:1 r)
 
-(* The flat index-permutation sort must reproduce a stable sort of the
-   tuples, ties included, over mixed int/float schemas (floats with
-   duplicates, signed zeros and NaN) keyed on a prefix of any length. *)
-let prop_sort_matches_stable_sort =
+(* Mixed int/float schemas (floats with duplicates, signed zeros and NaN)
+   keyed on a prefix of any length. *)
+let arb_mixed =
   let gen =
     QCheck.Gen.(
       let* dts = list_size (int_range 1 4) (oneofl [ i32; Dtype.I64; Dtype.F32 ]) in
@@ -240,18 +239,43 @@ let prop_sort_matches_stable_sort =
             (fun r -> String.concat "," (List.map string_of_int r))
             rows))
   in
+  QCheck.make ~print gen
+
+let mixed_rel dts rows =
+  let schema =
+    Schema.make (List.mapi (fun j dt -> (Printf.sprintf "c%d" j, dt)) dts)
+  in
+  Relation.create schema (List.map Array.of_list rows)
+
+(* The flat index-permutation sort must reproduce a stable sort of the
+   tuples, ties included. *)
+let prop_sort_matches_stable_sort =
   QCheck.Test.make ~name:"sort = List.stable_sort on tuples" ~count:300
-    (QCheck.make ~print gen) (fun (dts, key_arity, rows) ->
-      let schema =
-        Schema.make (List.mapi (fun j dt -> (Printf.sprintf "c%d" j, dt)) dts)
-      in
-      let r = Relation.create schema (List.map Array.of_list rows) in
+    arb_mixed (fun (dts, key_arity, rows) ->
+      let r = mixed_rel dts rows in
       let expected =
         List.stable_sort
-          (Relation.compare_key schema ~key_arity)
+          (Relation.compare_key (Relation.schema r) ~key_arity)
           (Relation.to_list r)
       in
       Relation.to_list (Relation.sort ~key_arity r) = expected)
+
+(* [is_sorted] holds exactly when sorting is the identity, both on the
+   relation and on its words followed by padding (as a device buffer). *)
+let prop_is_sorted_iff_sort_identity =
+  QCheck.Test.make ~name:"is_sorted r = (sort r has r's data)" ~count:500
+    arb_mixed (fun (dts, key_arity, rows) ->
+      let r = mixed_rel dts rows in
+      let s = Relation.sort ~key_arity r in
+      let padded rel =
+        Relation.is_sorted_words (Relation.schema rel) ~key_arity
+          ~rows:(Relation.count rel)
+          (Array.append (Relation.data rel) [| max_int; min_int; 7 |])
+      in
+      Relation.is_sorted ~key_arity r = (Relation.data s = Relation.data r)
+      && padded r = Relation.is_sorted ~key_arity r
+      && Relation.is_sorted ~key_arity s
+      && padded s)
 
 let prop_union_commutative_keys =
   QCheck.Test.make ~name:"union key set is commutative" ~count:200
@@ -327,6 +351,7 @@ let qcheck_cases =
     [
       prop_sort_idempotent;
       prop_sort_matches_stable_sort;
+      prop_is_sorted_iff_sort_identity;
       prop_union_commutative_keys;
       prop_intersect_subset;
       prop_difference_disjoint;
