@@ -10,10 +10,11 @@ build:
 test:
 	dune runtest
 
-# Quick end-to-end smoke: reduced-size paper experiments, the bechamel
-# micro-benchmarks, the jobs=1 vs jobs=N interpreter comparison and the
-# fault-injection chaos counters. --jobs 0 = auto, so the WEAVER_JOBS
-# environment variable (the CI matrix axis) picks the worker count.
+# Quick end-to-end smoke: reduced-size paper experiments and ablations,
+# then the bechamel micro-benchmarks (including the jobs=1 vs jobs=N pair
+# and the recorder-only and full tracer runs). --jobs 0 = auto, so the
+# WEAVER_JOBS environment variable (the CI matrix axis) picks the worker
+# count.
 bench-smoke: build
 	dune exec bench/main.exe -- --jobs 0 --json _build/bench-quick.json quick
 
@@ -26,14 +27,13 @@ bench-diff:
 	  { echo "usage: make bench-diff OLD=file NEW=file" >&2; exit 2; }
 	@sh scripts/bench-diff.sh "$(OLD)" "$(NEW)"
 
-# Robustness soak: seeded flip storms across the three integrity
-# postures (no-integrity / verify / verify+checkpoint; detection,
-# rollback and replay-savings counters) plus the goodput-under-storm
-# overload sweep. Both assert their invariants (zero leaks, bounded
-# budgets, 100%/0% detection split) and exit nonzero on violation.
+# Robustness soak: the faults suite (storm soak under a token budget; the
+# flip-storm sweep across no-integrity / verify / verify+checkpoint with
+# its 100%/0% detection split and >=30% replay reduction) and the service
+# suite (goodput flat from 0.5x to 4x admit capacity under storms, tokens
+# within budget, zero leaks).
 soak: build
-	dune exec bench/main.exe -- --jobs 0 --json _build/soak-integrity.json quick integrity
-	dune exec bench/main.exe -- --jobs 0 --json _build/soak-overload.json quick overload
+	dune exec test/test_main.exe -- test '^(faults|service)$$'
 
 # Static-analysis gate over every golden workload (micro-patterns
 # (a)-(e), ab, Q1, Q21): exits nonzero on any gating diagnostic.
@@ -52,13 +52,15 @@ explain: build
 	@! grep -q 'conservation: VIOLATED' _build/explain.txt
 	@echo "explain: conservation exact on all 8 golden workloads"
 
-# Code size, tracked as a design measurement: lines per lib/ library and
-# the number of settable fields in Config.t and Service.config.
+# Code size, tracked as a design measurement: lines per lib/ library, the
+# bench/ harness, and the number of settable fields in Config.t and
+# Service.config.
 loc:
 	@for d in lib/*/; do \
 	  printf '%6d %s\n' "$$(cat $$d*.ml $$d*.mli | wc -l)" "$$d"; \
 	done
 	@printf '%6d total\n' "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	@printf '%6d bench/\n' "$$(cat bench/*.ml | wc -l)"
 	@printf 'Config.t fields: %d\n' "$$(awk '/^type t = \{/ { f = 1; next } \
 	  f && /^\}/ { f = 0 } f && /^  [a-z_]+ :/ { n++ } END { print n }' \
 	  lib/weaver/config.ml)"

@@ -413,22 +413,10 @@ let bench_cmd =
   let run names quick jobs =
     guard (fun () ->
         let jobs = (config_of_jobs jobs).Weaver.Config.jobs in
-        let all =
-          Harness.Experiments.all ~quick ~jobs ()
-          @ Harness.Ablations.all ~quick ~jobs ()
-        in
         let wanted =
-          match names with
-          | [] -> all
-          | _ ->
-              List.filter_map
-                (fun n ->
-                  match List.assoc_opt n all with
-                  | Some o -> Some (n, o)
-                  | None ->
-                      Printf.eprintf "unknown experiment: %s\n" n;
-                      None)
-                names
+          match Harness.Experiments.select ~quick ~jobs names with
+          | Ok wanted -> wanted
+          | Error msg -> usage_error "%s" msg
         in
         List.iter
           (fun (name, o) ->

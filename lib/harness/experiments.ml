@@ -707,3 +707,14 @@ let all ?(quick = false) ?(jobs = 1) () =
           ~rows:(if quick then 20_000 else 60_000)
           ~lineitems:li21 ~jobs () );
   ]
+
+let select ?quick ?jobs names =
+  let suite = all ?quick ?jobs () @ Ablations.all ?quick ?jobs () in
+  match List.filter (fun n -> not (List.mem_assoc n suite)) names with
+  | [] when names = [] -> Ok suite
+  | [] -> Ok (List.map (fun n -> (n, List.assoc n suite)) names)
+  | unknown ->
+      Error
+        (Printf.sprintf "unknown experiment %s (known: %s)"
+           (String.concat ", " unknown)
+           (String.concat ", " (List.map fst suite)))

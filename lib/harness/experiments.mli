@@ -69,3 +69,12 @@ val all : ?quick:bool -> ?jobs:int -> unit -> (string * (unit -> Report.outcome)
 (** Every experiment as a lazy thunk, keyed by its figure/table id —
     forcing one entry runs only that experiment. [quick] shrinks sizes
     (used by tests). *)
+
+val select :
+  ?quick:bool ->
+  ?jobs:int ->
+  string list ->
+  ((string * (unit -> Report.outcome)) list, string) result
+(** The named entries of {!all} and {!Ablations.all}, in the order given
+    ([[]] selects every one), or a usage message naming the unknown names
+    and listing the known ones. Front ends exit 2 on [Error]. *)

@@ -68,6 +68,12 @@ let check_no_leaks ~what (r : Weaver.Runtime.result) =
     (what ^ ": no leaked device buffers")
     [] r.Weaver.Runtime.metrics.Weaver.Metrics.leaks
 
+(* Recovery tokens a run spent: retries, fissions, demotions and
+   rollbacks all pass the runtime's one token gate. *)
+let tokens_spent (m : Weaver.Metrics.t) =
+  m.Weaver.Metrics.retries + m.Weaver.Metrics.fissions
+  + m.Weaver.Metrics.demotions + m.Weaver.Metrics.rollbacks
+
 let check_sinks ~what (expected : Weaver.Runtime.result)
     (got : Weaver.Runtime.result) =
   Alcotest.(check int)
@@ -400,10 +406,6 @@ let test_cancel_beats_recovery () =
    and no path may leak a device buffer. *)
 let test_storm_soak () =
   let budget = 8 in
-  let tokens (m : Weaver.Metrics.t) =
-    m.Weaver.Metrics.retries + m.Weaver.Metrics.fissions
-    + m.Weaver.Metrics.demotions
-  in
   let survivors = ref 0 and casualties = ref 0 and injected = ref 0 in
   List.iter
     (fun wl ->
@@ -450,7 +452,7 @@ let test_storm_soak () =
                       Alcotest.(check bool)
                         (what ^ ": tokens within budget")
                         true
-                        (tokens a.Weaver.Runtime.metrics <= budget)
+                        (tokens_spent a.Weaver.Runtime.metrics <= budget)
                   | Error a, Error b ->
                       incr casualties;
                       injected :=
@@ -468,7 +470,7 @@ let test_storm_soak () =
                       Alcotest.(check bool)
                         (what ^ ": tokens within budget")
                         true
-                        (tokens a.Weaver.Runtime.partial <= budget)
+                        (tokens_spent a.Weaver.Runtime.partial <= budget)
                   | _ ->
                       Alcotest.fail
                         (what ^ ": survival itself was nondeterministic"))
@@ -939,6 +941,96 @@ let test_flip_exhaustion () =
         "exhausted flip storm leaks nothing" []
         f.Weaver.Runtime.partial.Weaver.Metrics.leaks
 
+(* --- flip-storm sweep: detection split and replay savings ------------------- *)
+
+(* Q21 under seeded alloc+launch+transfer flip storms at rates 0, 2% and
+   5%, six decorrelated runs per cell, in three postures: certificates
+   recorded but never verified (the control), verify with whole-query
+   restart, and verify with the checkpoint ledger. Verification must
+   catch every landed flip and the control none; when nothing flips the
+   defense must cost no simulated cycles; and at 5% the ledger must
+   spare at least 30% of the cycles a restart would have replayed. *)
+let test_flip_storm_sweep () =
+  let q = Tpch.Queries.q21 in
+  let bases =
+    q.Tpch.Queries.bind (Tpch.Datagen.generate ~seed:13 ~lineitems:2_000)
+  in
+  let cell ~rate (posture, integrity, checkpoint) =
+    List.init 6 (fun i ->
+        let faults =
+          if rate = 0.0 then None
+          else
+            Some
+              (Printf.sprintf
+                 "rseed@%d,alloc%%%g:flip,launch%%%g:flip,transfer%%%g:flip"
+                 (201 + i) rate rate rate)
+        in
+        let config =
+          {
+            Weaver.Config.default with
+            Weaver.Config.faults;
+            integrity;
+            checkpoint;
+          }
+        in
+        let program = Weaver.Driver.compile ~config q.Tpch.Queries.plan in
+        let m =
+          match
+            Weaver.Runtime.run_result program bases
+              ~mode:Weaver.Runtime.Streamed
+          with
+          | Ok r -> r.Weaver.Runtime.metrics
+          | Error f -> f.Weaver.Runtime.partial
+        in
+        let what = Printf.sprintf "%s rate=%g run %d" posture rate i in
+        Alcotest.(check (list (pair string int)))
+          (what ^ ": no leaks") [] m.Weaver.Metrics.leaks;
+        (* the storm is flip-only, so every injected fault is a flip *)
+        Alcotest.(check int)
+          (what ^ ": flips detected")
+          (if integrity then m.Weaver.Metrics.faults_injected else 0)
+          m.Weaver.Metrics.corruptions;
+        m)
+  in
+  let postures =
+    [ ("no-integrity", false, false); ("verify", true, false);
+      ("verify-ckpt", true, true) ]
+  in
+  (match
+     List.map
+       (fun p -> List.map Weaver.Metrics.total_cycles (cell ~rate:0.0 p))
+       postures
+   with
+  | control :: verified ->
+      List.iter
+        (Alcotest.(check (list (float 0.0)))
+           "fault-free cycles identical across postures" control)
+        verified
+  | [] -> ());
+  List.iter
+    (fun rate ->
+      List.iter
+        (fun ((posture, _, _) as p) ->
+          let ms = cell ~rate p in
+          let sum f = List.fold_left (fun acc m -> acc +. f m) 0.0 ms in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s rate=%g: some flip landed" posture rate)
+            true
+            (sum (fun m -> float m.Weaver.Metrics.faults_injected) > 0.0);
+          if posture = "verify-ckpt" && rate = 0.05 then begin
+            let saved = sum (fun m -> m.Weaver.Metrics.saved_replay_cycles)
+            and replayed = sum (fun m -> m.Weaver.Metrics.replayed_cycles) in
+            Alcotest.(check bool)
+              (Printf.sprintf
+                 "ledger spares >= 30%% of the replay (saved %.3e, \
+                  replayed %.3e)"
+                 saved replayed)
+              true
+              (saved > 0.0 && saved >= 0.3 *. (saved +. replayed))
+          end)
+        postures)
+    [ 0.02; 0.05 ]
+
 let suite =
   let chaos wl =
     (Printf.sprintf "chaos sweep %s" wl.wname, `Slow, test_chaos_sweep wl)
@@ -976,4 +1068,6 @@ let suite =
        test_checkpoint_eviction);
       ("persistent flips exhaust recovery leak-free", `Quick,
        test_flip_exhaustion);
+      ("flip-storm sweep: detection split and replay savings", `Slow,
+       test_flip_storm_sweep);
     ]

@@ -126,6 +126,23 @@ let test_report_rendering () =
   Alcotest.(check string) "pct" "-59%" (Harness.Report.pct (-0.59));
   Alcotest.(check string) "bytes" "1.00 MB" (Harness.Report.bytes_human 1048576)
 
+let test_select () =
+  let names r = List.map fst (Result.get_ok r) in
+  let select = Harness.Experiments.select in
+  Alcotest.(check (list string))
+    "named entries, in the order given"
+    [ "q1"; "ablation-rewriting" ]
+    (names (select [ "q1"; "ablation-rewriting" ]));
+  Alcotest.(check bool) "[] selects every experiment and ablation" true
+    (List.length (names (select [])) > 15);
+  match select [ "fig4"; "nosuch" ] with
+  | Ok _ -> Alcotest.fail "an unknown name must be an error"
+  | Error msg ->
+      Alcotest.(check bool) "names the unknown one" true
+        (Astring_contains.contains msg "nosuch");
+      Alcotest.(check bool) "lists the known ones" true
+        (Astring_contains.contains msg "ablation-platforms")
+
 let suite =
   [
     ("fig4 shape", `Slow, test_fig4);
@@ -140,4 +157,5 @@ let suite =
     ("q21 shape", `Slow, test_q21);
     ("ablations", `Slow, test_ablations);
     ("report rendering", `Quick, test_report_rendering);
+    ("experiment selector", `Quick, test_select);
   ]

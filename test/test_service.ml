@@ -700,6 +700,81 @@ let test_registry_agrees_with_stats () =
     ];
   ignore (check_registry_agrees ~what:"clean" [ req ~rid:0 small ])
 
+(* --- overload: goodput holds under fault storms ------------------------------ *)
+
+(* Offered load at 0.5x, 1x, 2x and 4x the admit capacity (queue_limit + 1),
+   every request under its own 5% alloc/launch/transfer storm, a token
+   budget of 8 and a deadline of 3x the solo cost, with hedging armed.
+   Admission must keep goodput flat by rejecting the excess, and every
+   admitted run must stay within its budget, leak nothing and, when it
+   completes, match the solo run. *)
+let test_overload_goodput () =
+  let budget = 8 and queue_limit = 8 in
+  let w = Tpch.Patterns.pattern_a () in
+  let clean = wl ~rows:1_000 w in
+  let baseline = solo clean in
+  let deadline =
+    3.0 *. Weaver.Metrics.total_cycles baseline.Weaver.Runtime.metrics
+  in
+  let config = { Weaver.Service.queue_limit; hedge_quantile = Some 0.95 } in
+  let injected = ref 0 in
+  let goodput load =
+    let offered = int_of_float ((load *. float (queue_limit + 1)) +. 0.5) in
+    let reqs =
+      List.init offered (fun rid ->
+          let faults =
+            Printf.sprintf "rseed@%d,alloc%%0.05,launch%%0.05,transfer%%0.05"
+              (100 + rid)
+          in
+          let config =
+            {
+              Weaver.Config.default with
+              Weaver.Config.faults = Some faults;
+              retry_budget = Some budget;
+            }
+          in
+          Weaver.Service.request ~rid ~deadline_cycles:deadline
+            (Weaver.Driver.compile ~config w.Tpch.Patterns.plan)
+            clean.bases)
+    in
+    let responses, stats = Weaver.Service.run_batch ~config reqs in
+    List.iter
+      (fun (r : Weaver.Service.response) ->
+        let what = Printf.sprintf "%gx load rid %d" load r.Weaver.Service.rid in
+        let check_run (m : Weaver.Metrics.t) =
+          injected := !injected + m.Weaver.Metrics.faults_injected;
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": no leaks") [] m.Weaver.Metrics.leaks;
+          Alcotest.(check bool)
+            (what ^ ": tokens within budget")
+            true
+            (Test_faults.tokens_spent m <= budget)
+        in
+        match r.Weaver.Service.verdict with
+        | Weaver.Service.Completed res ->
+            check_sinks ~what baseline res;
+            check_run res.Weaver.Runtime.metrics
+        | Weaver.Service.Failed f -> check_run f.Weaver.Runtime.partial
+        | Weaver.Service.Rejected
+            (Weaver.Service.Queue_full _ | Weaver.Service.Overloaded _) ->
+            ()
+        | Weaver.Service.Rejected (Weaver.Service.Over_capacity _) ->
+            Alcotest.fail (what ^ ": rejected over capacity"))
+      responses;
+    stats.Weaver.Service.throughput_qps
+  in
+  let base = goodput 0.5 in
+  List.iter
+    (fun load ->
+      let g = goodput load in
+      Alcotest.(check bool)
+        (Printf.sprintf "goodput at %gx (%.1f q/s) within 5%% of 0.5x (%.1f)"
+           load g base)
+        true
+        (Float.abs (g -. base) <= 0.05 *. base))
+    [ 1.0; 2.0; 4.0 ];
+  Alcotest.(check bool) "the storms injected faults" true (!injected > 0)
+
 let suite =
   [
     ("batch isolation vs solo runs", `Quick, test_batch_isolation);
@@ -718,4 +793,6 @@ let suite =
     ("deadline veto under a cap hedges", `Quick, test_hedge_on_deadline_veto);
     ("dedicated rejection counters", `Quick, test_rejection_counters);
     ("registry agrees with stats", `Quick, test_registry_agrees_with_stats);
+    ("goodput flat from 0.5x to 4x load under storms", `Quick,
+     test_overload_goodput);
   ]
