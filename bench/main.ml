@@ -110,6 +110,17 @@ let bechamel_suite ~jobs () =
              (Weaver.Optimizer.optimize Weaver.Optimizer.O3
                 ks.Weaver.Codegen.compute)))
   in
+  (* the host sort on Q1's shape (20,000 rows, 7 columns, the two
+     small-range int group keys first) and on two f32 keys *)
+  let lineitem =
+    (Tpch.Datagen.generate ~seed:1 ~lineitems:20_000).Tpch.Datagen.lineitem
+  in
+  let sort_test ~name cols =
+    let r = Relation_lib.Rel_ops.project cols lineitem in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore (Relation_lib.Relation.sort ~key_arity:2 r)))
+  in
   (* the jobs pair must time two distinct configurations, so a request
      that resolves to one worker compares against four *)
   let seq = Weaver.Config.with_jobs Weaver.Config.default 1 in
@@ -136,6 +147,8 @@ let bechamel_suite ~jobs () =
           ~label:"pattern-a-jobs1-traced";
         compile_test;
         optimize_test;
+        sort_test ~name:"sort/q1-shape-20000" [ 7; 8; 3; 4; 5; 6; 9 ];
+        sort_test ~name:"sort/f32-keys-20000" [ 3; 4; 7; 8; 5; 6; 9 ];
       ]
   in
   let benchmark () =

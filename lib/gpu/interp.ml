@@ -173,7 +173,11 @@ type exit =
 type block = {
   ops : (int array -> unit) array;
       (** the straight-line instructions, as closures over the executing
-          thread's register file *)
+          thread's register file; an [add] feeding the index of the next
+          access shares one closure with it *)
+  steps : (int array -> unit) array Lazy.t;
+      (** the same instructions one closure each, for an entry charged
+          per instruction; built on first use *)
   len : int;  (** instructions per entry, terminator included *)
   exit : exit;
 }
@@ -412,6 +416,80 @@ let compile (k : Kir.kernel) (lay : layout) ~mem ~params ~grid ~cta ~shared
           in
           set r d old
   in
+  (* [add t, x, K] followed by an access indexed by [t], as one closure
+     that writes [t] before the access is bounds-checked, as the two
+     closures would. Only the fast shapes fuse: a global access whose
+     base binds a live buffer, a shared access whose other address
+     operand is constant. *)
+  let fuse_access t x n : Kir.instr -> (int array -> unit) option = function
+    | Ld { space = Global; dst; base; idx; _ } -> (
+        match (src base, src idx) with
+        | K h, R y when y = t ->
+            Option.map
+              (fun arr ->
+                let len = Array.length arr in
+                fun r ->
+                  let i = get r x + n in
+                  set r t i;
+                  if i < 0 || i >= len then oob_global h i len;
+                  set r dst (get arr i))
+              (bound h)
+        | _ -> None)
+    | St { space = Global; base; idx; src = v; _ } -> (
+        match (src base, src idx, src v) with
+        | K h, R y, R z when y = t ->
+            Option.map
+              (fun arr ->
+                let len = Array.length arr in
+                fun r ->
+                  let i = get r x + n in
+                  set r t i;
+                  if i < 0 || i >= len then oob_global h i len;
+                  set arr i (get r z))
+              (bound h)
+        | K h, R y, K c when y = t ->
+            Option.map
+              (fun arr ->
+                let len = Array.length arr in
+                fun r ->
+                  let i = get r x + n in
+                  set r t i;
+                  if i < 0 || i >= len then oob_global h i len;
+                  set arr i c)
+              (bound h)
+        | _ -> None)
+    | Ld { space = Shared; dst; base; idx; _ } -> (
+        match addr (src base) (src idx) with
+        | A_r (y, c) when y = t ->
+            Some
+              (fun r ->
+                let v = get r x + n in
+                set r t v;
+                let i = v + c in
+                if i < 0 || i >= slen then oob_shared i;
+                set r dst (get shared i))
+        | _ -> None)
+    | St { space = Shared; base; idx; src = v; _ } -> (
+        match (addr (src base) (src idx), src v) with
+        | A_r (y, c), R z when y = t ->
+            Some
+              (fun r ->
+                let v = get r x + n in
+                set r t v;
+                let i = v + c in
+                if i < 0 || i >= slen then oob_shared i;
+                set shared i (get r z))
+        | A_r (y, c), K w when y = t ->
+            Some
+              (fun r ->
+                let v = get r x + n in
+                set r t v;
+                let i = v + c in
+                if i < 0 || i >= slen then oob_shared i;
+                set shared i w)
+        | _ -> None)
+    | _ -> None
+  in
   let op (ins : Kir.instr) : int array -> unit =
     match ins with
     | Mov (d, a) -> (
@@ -486,6 +564,14 @@ let compile (k : Kir.kernel) (lay : layout) ~mem ~params ~grid ~cta ~shared
   in
   let bad_reg _ = invalid_arg "index out of bounds" in
   let op ins = if bad_regs ins then bad_reg else op ins in
+  let fuse (a : Kir.instr) b =
+    match a with
+    | Bin (Add, t, x, y) when not (bad_regs a || bad_regs b) -> (
+        match (src x, src y) with
+        | R x, K n | K n, R x -> fuse_access t x n b
+        | _ -> None)
+    | _ -> None
+  in
   let exit_of pc ins = if bad_regs ins then Next bad_reg else exit_of pc ins in
   let nb = Array.length lay.starts in
   Array.init nb (fun b ->
@@ -493,8 +579,21 @@ let compile (k : Kir.kernel) (lay : layout) ~mem ~params ~grid ~cta ~shared
       let stop = if b + 1 < nb then lay.starts.(b + 1) else n in
       let last = body.(stop - 1) in
       let straight = if ends_block last then stop - 1 else stop in
+      let rec ops pc acc =
+        if pc >= straight then Array.of_list (List.rev acc)
+        else
+          match if pc + 1 < straight then fuse body.(pc) body.(pc + 1) else None with
+          | Some f -> ops (pc + 2) (f :: acc)
+          | None -> ops (pc + 1) (op body.(pc) :: acc)
+      in
+      let ops = ops s [] in
+      let steps =
+        if Array.length ops = straight - s then Lazy.from_val ops
+        else lazy (Array.init (straight - s) (fun i -> op body.(s + i)))
+      in
       {
-        ops = Array.init (straight - s) (fun i -> op body.(s + i));
+        ops;
+        steps;
         len = stop - s;
         exit = (if straight < stop then exit_of (stop - 1) last else Goto stop);
       })
@@ -585,12 +684,13 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
             done
           end
           else begin
-            for i = 0 to Array.length ops - 1 do
+            let steps = Lazy.force b.steps in
+            for i = 0 to Array.length steps - 1 do
               decr budget;
               if !budget <= 0 then exhausted ();
-              (Array.unsafe_get ops i) r
+              (Array.unsafe_get steps i) r
             done;
-            if b.len > Array.length ops then begin
+            if b.len > Array.length steps then begin
               decr budget;
               if !budget <= 0 then exhausted ()
             end

@@ -40,11 +40,6 @@ let synthetic_stats ~rows ~schema =
   in
   local :: List.init (merge_passes ~rows) (fun _ -> merge ())
 
-let sort_host mem ~buf ~rows ~schema ~key_arity =
-  let data = Memory.data mem buf in
-  let ar = Schema.arity schema in
-  let rel =
-    Relation.of_array schema (Array.sub data 0 (rows * ar))
-  in
-  let sorted = Relation.sort ~key_arity rel in
-  Array.blit (Relation.data sorted) 0 data 0 (rows * ar)
+let sort_host mem ~src ~dst ~rows ~schema ~key_arity =
+  Relation.sort_words schema ~key_arity ~rows ~src:(Memory.data mem src)
+    ~dst:(Memory.data mem dst)

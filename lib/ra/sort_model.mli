@@ -24,9 +24,11 @@ val synthetic_stats : rows:int -> schema:Relation_lib.Schema.t -> Stats.t list
 
 val sort_host :
   Memory.t ->
-  buf:Memory.buffer ->
+  src:Memory.buffer ->
+  dst:Memory.buffer ->
   rows:int ->
   schema:Relation_lib.Schema.t ->
   key_arity:int ->
   unit
-(** Stable key-prefix sort of the relation stored in [buf], in place. *)
+(** Stable key-prefix sort of the relation stored in [src] into [dst]
+    ({!Relation_lib.Relation.sort_words}); the two buffers must differ. *)

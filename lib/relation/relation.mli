@@ -38,6 +38,10 @@ val to_list : t -> int array list
 val iter : (int array -> unit) -> t -> unit
 val fold : ('a -> int array -> 'a) -> 'a -> t -> 'a
 
+(** Every function taking [~key_arity] raises [Invalid_argument] naming
+    itself unless [0 <= key_arity <= arity]. A [key_arity] of [0] is the
+    empty key: every row ties, so sorting is the identity. *)
+
 val compare_key : Schema.t -> key_arity:int -> int array -> int array -> int
 (** Lexicographic comparison of the first [key_arity] attributes using each
     attribute's dtype ordering. *)
@@ -47,7 +51,32 @@ val compare_tuple : Schema.t -> int array -> int array -> int
 
 val sort : key_arity:int -> t -> t
 (** Stable sort by the key prefix (ties keep input order), returning a new
-    relation. *)
+    relation: {!sort_words} into a fresh array. *)
+
+val sort_words :
+  Schema.t ->
+  key_arity:int ->
+  rows:int ->
+  src:int array ->
+  dst:int array ->
+  unit
+(** [sort_words schema ~key_arity ~rows ~src ~dst] writes the first [rows]
+    rows of the flat row-major array [src], stably sorted by their key
+    prefix, into the first [rows] rows of [dst]; neither array is touched
+    past them. The order is {!compare_key}'s: ints signed over the full
+    native int, floats as the low 32 bits read as binary32 under
+    [Float.compare] (all NaNs equal and below [-inf], [-0.0 = +0.0]).
+
+    The algorithm is a least-significant-digit radix sort of the row
+    indices, last key column first. Each column's keys are extracted once
+    and mapped to ints whose signed order is the column's order (f32 bits
+    to sign-magnitude, NaNs to one value below [-inf]); a column whose
+    keys are all equal is skipped. The keys, less their minimum, are
+    counting-sorted one digit at a time. The digits are at most
+    [min 16 (bit length of rows)] bits wide, balanced across the passes
+    the key range needs. Then each row is gathered once from [src] into
+    [dst]. Raises [Invalid_argument] if either array is shorter than
+    [rows] rows, or if they are the same array and [rows > 0]. *)
 
 val is_sorted : key_arity:int -> t -> bool
 (** Whether {!sort} would leave the relation's data unchanged: adjacent

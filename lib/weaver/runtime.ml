@@ -1178,14 +1178,10 @@ let exec_sort st ~op_id ~key_arity ~source =
      fires before the result is adopted by a mat *)
   (try
      (* the [out] allocation was an injection point: verify the input just
-        before its bits are copied host-side *)
+        before the host sort reads its bits *)
      check_mat st m ~site:(Printf.sprintf "sort%d_input" op_id);
-     Array.blit
-       (Memory.data st.mem (Option.get m.buf))
-       0 (Memory.data st.mem out) 0
-       (m.rows * Schema.arity m.schema);
-     Ra_lib.Sort_model.sort_host st.mem ~buf:out ~rows:m.rows ~schema:m.schema
-       ~key_arity;
+     Ra_lib.Sort_model.sort_host st.mem ~src:(Option.get m.buf) ~dst:out
+       ~rows:m.rows ~schema:m.schema ~key_arity;
      List.iteri
        (fun i s ->
          synth_report ~ops:[ op_id ] st

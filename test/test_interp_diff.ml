@@ -151,14 +151,14 @@ let test_random_plans () =
 
 let alloc mem words = Memory.alloc mem ~words ~bytes:(4 * words)
 
-let raw_kernel ?(params = 1) name body =
+let raw_kernel ?(params = 1) ?(shared_words = 0) name body =
   {
     Kir.kname = name;
     params;
     reg_count = Kir.param_reg params + 4;
     regs_per_thread = 8;
-    shared_words = 0;
-    shared_bytes = 0;
+    shared_words;
+    shared_bytes = 4 * shared_words;
     body;
     labels = [||];
     prov = Kir.no_prov;
@@ -263,6 +263,143 @@ let test_trap_needed () =
       | f -> Alcotest.failf "unexpected fault %s" (Fault.render f))
     [ (folded, 37); (computed, 100) ]
 
+(* --- fused address + access pairs ------------------------------------------ *)
+
+(* [add t, x, K] feeding the next access's index compiles to one closure.
+   Each kernel below is checked against the oracle at jobs 1 and 4 under
+   every budget from 1 instruction to completion, so exhaustion also
+   falls between the [add] and its access. *)
+let check_fused ~what ?(grid = 1) ~cta mem k ~params =
+  let total =
+    match check_launch ~what mem k ~params ~grid ~cta with
+    | Done (s, _) -> s.Stats.instructions
+    | Faulted _ | Raised _ -> Array.length k.Kir.body * cta * grid
+  in
+  for max_instructions = 1 to total + 1 do
+    ignore (check_launch ~what ~max_instructions mem k ~params ~grid ~cta)
+  done
+
+let ld space dst base idx = Kir.Ld { space; dst; base; idx; width = 4 }
+let st space base idx src = Kir.St { space; base; idx; src; width = 4 }
+let add d a n = Kir.Bin (Add, d, a, Kir.Imm n)
+
+(* [t := tid + 1; out[t] := t] with [out] one word short: the last thread's
+   fused store faults with the unfused payload, after the others landed
+   (its index is the value the fused [add] wrote to [t]). The load
+   [t := tid + 2; v := in[t]] faults the same way, and stores [v + t]. *)
+let test_fused_global () =
+  let p0 = Kir.param_reg 0 and p1 = Kir.param_reg 1 in
+  let t = Kir.param_reg 2 and v = Kir.param_reg 3 in
+  let store =
+    raw_kernel "fused_st" [| add t (Reg Kir.reg_tid) 1; st Global (Reg p0) (Reg t) (Reg t); Ret |]
+  in
+  let load =
+    raw_kernel ~params:2 "fused_ld"
+      [|
+        add t (Reg Kir.reg_tid) 2;
+        ld Global v (Reg p0) (Reg t);
+        Kir.Bin (Add, v, Reg v, Reg t);
+        st Global (Reg p1) (Reg Kir.reg_tid) (Reg v);
+        Ret;
+      |]
+  in
+  let mem = Memory.create device in
+  let input = alloc mem 4 and out = alloc mem 4 in
+  Array.iteri (fun i _ -> (Memory.data mem input).(i) <- 10 * (i + 1)) (Memory.data mem input);
+  List.iter
+    (fun cta ->
+      check_fused ~what:"fused store" ~cta mem store ~params:[| out |];
+      check_fused ~what:"fused load" ~cta mem load ~params:[| input; out |])
+    [ 2; 3; 4 ];
+  (match fault_of (fun () -> Interp.run mem store ~params:[| out |] ~grid:1 ~cta:4) with
+  | Fault.Out_of_bounds { kernel; space; buffer; index; length } ->
+      Alcotest.(check string) "kernel" "fused_st" kernel;
+      Alcotest.(check bool) "global" true (space = Fault.Global_space);
+      Alcotest.(check (option int)) "buffer" (Some out) buffer;
+      Alcotest.(check (pair int int)) "index, length" (4, 4) (index, length)
+  | f -> Alcotest.failf "unexpected fault %s" (Fault.render f));
+  Alcotest.(check (array int)) "stores before the fault landed" [| 0; 1; 2; 3 |]
+    (Memory.data mem out)
+
+(* Aliasing: [t := t + 1; t := in[t]] reads [t] before the fused pair
+   rewrites it twice, and [sh[v + 8] := v] stores the value its [add] just
+   wrote. A shared access fuses when either address operand is constant.
+   Every register a fused [add] writes reaches [out]; thread 3's
+   [sh[v + 8]] is past the shared array and faults. *)
+let test_fused_aliasing () =
+  let p0 = Kir.param_reg 0 and p1 = Kir.param_reg 1 in
+  let t = Kir.param_reg 2 and v = Kir.param_reg 3 in
+  let u = Kir.param_reg 4 and w = Kir.param_reg 5 in
+  let tid = Kir.Reg Kir.reg_tid in
+  let k =
+    raw_kernel ~params:2 ~shared_words:12 "fused_alias"
+      [|
+        Kir.Mov (t, tid);
+        add t (Reg t) 1;
+        ld Global t (Reg p0) (Reg t);
+        add v tid 0;
+        st Shared (Imm 3) (Reg v) (Reg t);
+        add v (Reg v) 1;
+        st Shared (Reg v) (Imm 8) (Reg v);
+        add u tid 9;
+        ld Shared w (Imm 0) (Reg u);
+        add u tid 3;
+        ld Shared t (Reg u) (Imm 0);
+        Kir.Bin (Add, w, Reg w, Reg u);
+        Kir.Bin (Add, w, Reg w, Reg v);
+        add u tid 4;
+        st Global (Reg p1) (Reg u) (Reg t);
+        st Global (Reg p1) tid (Reg w);
+        Ret;
+      |]
+  in
+  let mem = Memory.create device in
+  let input = alloc mem 8 and out = alloc mem 8 in
+  Array.iteri (fun i _ -> (Memory.data mem input).(i) <- 100 + i) (Memory.data mem input);
+  List.iter
+    (fun cta -> check_fused ~what:"fused aliasing" ~cta mem k ~params:[| input; out |])
+    [ 1; 3; 4 ];
+  ignore (Interp.run mem k ~params:[| input; out |] ~grid:1 ~cta:3);
+  Alcotest.(check (array int)) "every fused write observed"
+    [| 5; 8; 11; 0; 101; 102; 103; 0 |]
+    (Memory.data mem out)
+
+(* A base that is not a launch constant stays unfused: a global base
+   register the body writes (a dead handle there must fault as
+   Invalid_handle after the [add]), and a shared access indexed by two
+   registers. *)
+let test_unfused_base () =
+  let p0 = Kir.param_reg 0 and p1 = Kir.param_reg 1 in
+  let b = Kir.param_reg 2 and t = Kir.param_reg 3 in
+  let v = Kir.param_reg 4 and u = Kir.param_reg 5 in
+  let k =
+    raw_kernel ~params:2 ~shared_words:4 "unfused_base"
+      [|
+        add b (Reg p0) 0;
+        add t (Reg Kir.reg_tid) 1;
+        ld Global v (Reg b) (Reg t);
+        Kir.Mov (u, Imm 1);
+        add t (Reg Kir.reg_tid) 0;
+        st Shared (Reg u) (Reg t) (Reg v);
+        add t (Reg Kir.reg_tid) 1;
+        ld Shared v (Reg u) (Reg t);
+        st Global (Reg p1) (Reg Kir.reg_tid) (Reg v);
+        Ret;
+      |]
+  in
+  let mem = Memory.create device in
+  let input = alloc mem 4 and out = alloc mem 4 and dead = alloc mem 4 in
+  Memory.free mem dead;
+  Array.iteri (fun i _ -> (Memory.data mem input).(i) <- 7 * i) (Memory.data mem input);
+  List.iter
+    (fun cta ->
+      check_fused ~what:"unfused base" ~cta mem k ~params:[| input; out |])
+    [ 1; 2; 3; 4 ];
+  check_fused ~what:"unfused dead base" ~cta:2 mem k ~params:[| dead; out |];
+  match fault_of (fun () -> Interp.run mem k ~params:[| dead; out |] ~grid:1 ~cta:2) with
+  | Fault.Invalid_handle { handle; _ } -> Alcotest.(check int) "handle" dead handle
+  | f -> Alcotest.failf "unexpected fault %s" (Fault.render f)
+
 let suite =
   [
     Alcotest.test_case "goldens match the oracle" `Slow test_goldens;
@@ -273,4 +410,7 @@ let suite =
     Alcotest.test_case "bad handle executed" `Quick test_bad_handle_taken;
     Alcotest.test_case "fall-through past the end" `Quick test_fall_through_end;
     Alcotest.test_case "trap needed operand" `Quick test_trap_needed;
+    Alcotest.test_case "fused global access" `Quick test_fused_global;
+    Alcotest.test_case "fused aliasing and shared" `Quick test_fused_aliasing;
+    Alcotest.test_case "non-constant base unfused" `Quick test_unfused_base;
   ]

@@ -229,16 +229,21 @@ let test_sort_model () =
   (* host sort sorts *)
   let mem = Memory.create device in
   let rows = 500 in
-  let buf = Memory.alloc mem ~words:(rows * 2) ~bytes:(rows * 8) in
+  let src = Memory.alloc mem ~words:(rows * 2) ~bytes:(rows * 8) in
+  let dst = Memory.alloc mem ~words:(rows * 2) ~bytes:(rows * 8) in
   let st_rand = Random.State.make [| 3 |] in
-  let data = Memory.data mem buf in
+  let input = Memory.data mem src in
   for i = 0 to rows - 1 do
-    data.(i * 2) <- Random.State.int st_rand 100;
-    data.((i * 2) + 1) <- i
+    input.(i * 2) <- Random.State.int st_rand 100;
+    input.((i * 2) + 1) <- i
   done;
-  Ra_lib.Sort_model.sort_host mem ~buf ~rows ~schema:s2 ~key_arity:1;
-  let rel = Relation.of_array s2 (Array.sub data 0 (rows * 2)) in
-  Alcotest.(check bool) "sorted" true (Relation.is_sorted ~key_arity:1 rel)
+  let before = Array.copy input in
+  Ra_lib.Sort_model.sort_host mem ~src ~dst ~rows ~schema:s2 ~key_arity:1;
+  Alcotest.(check (array int)) "input untouched" before input;
+  let rel = Relation.of_array s2 (Array.copy (Memory.data mem dst)) in
+  Alcotest.(check bool) "sorted" true (Relation.is_sorted ~key_arity:1 rel);
+  Alcotest.(check bool) "same rows" true
+    (Relation.equal_multiset rel (Relation.of_array s2 before))
 
 let suite =
   [

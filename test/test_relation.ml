@@ -84,6 +84,45 @@ let test_sort_stability () =
     [ (1, 1); (1, 2); (2, 1); (2, 2); (2, 3) ]
     (List.map (fun t -> (t.(0), t.(1))) (Relation.to_list s))
 
+(* A key arity outside [0, arity] is rejected up front, whatever the
+   data: it used to index past the key columns only when two rows tied. *)
+let test_key_arity_range () =
+  let rejects fn f =
+    List.iter
+      (fun key_arity ->
+        Alcotest.check_raises
+          (Printf.sprintf "%s key_arity %d" fn key_arity)
+          (Invalid_argument
+             (Printf.sprintf "Relation.%s: key_arity %d outside [0, 2]" fn
+                key_arity))
+          (fun () -> f key_arity))
+      [ 3; -1 ]
+  in
+  List.iter
+    (fun r ->
+      let data = Relation.data r in
+      rejects "sort" (fun key_arity -> ignore (Relation.sort ~key_arity r));
+      rejects "sort_words" (fun key_arity ->
+          Relation.sort_words s2 ~key_arity ~rows:2 ~src:data
+            ~dst:(Array.make 4 0));
+      rejects "is_sorted" (fun key_arity ->
+          ignore (Relation.is_sorted ~key_arity r));
+      rejects "is_sorted_words" (fun key_arity ->
+          ignore (Relation.is_sorted_words s2 ~key_arity ~rows:2 data));
+      rejects "compare_key" (fun key_arity ->
+          ignore
+            (Relation.compare_key s2 ~key_arity (Relation.get r 0)
+               (Relation.get r 1))))
+    [ rel [ (1, 1); (1, 1) ]; rel [ (2, 1); (1, 2) ] ];
+  let r = rel [ (2, 1); (1, 2); (1, 1) ] in
+  Alcotest.(check (array int))
+    "key_arity 0 is the identity" (Relation.data r)
+    (Relation.data (Relation.sort ~key_arity:0 r));
+  Alcotest.(check (list (pair int int)))
+    "key_arity = arity sorts every column"
+    [ (1, 1); (1, 2); (2, 1) ]
+    (List.map (fun t -> (t.(0), t.(1))) (Relation.to_list (Relation.sort ~key_arity:2 r)))
+
 let test_equal_multiset () =
   let a = rel [ (1, 1); (2, 2); (1, 1) ] in
   let b = rel [ (2, 2); (1, 1); (1, 1) ] in
@@ -213,21 +252,60 @@ let prop_sort_idempotent =
       Relation.equal_multiset r (Relation.sort ~key_arity:1 r)
       && Relation.is_sorted ~key_arity:1 r)
 
-(* Mixed int/float schemas (floats with duplicates, signed zeros and NaN)
-   keyed on a prefix of any length. *)
+(* Mixed int/float schemas keyed on a prefix of any length. Each int
+   column draws from one range: tiny (many ties), wide (spanning more than
+   2^16, so the radix sort takes several passes) or full (min_int and
+   max_int together, so the key range wraps). Float words mix ordinary
+   values and signed zeros with +-inf, subnormals and NaNs with payloads
+   and either sign, some with bits set above bit 31, which the order
+   ignores. A fifth of the cases have 1,000-3,000 rows. *)
 let arb_mixed =
   let gen =
     QCheck.Gen.(
       let* dts = list_size (int_range 1 4) (oneofl [ i32; Dtype.I64; Dtype.F32 ]) in
       let* key_arity = int_range 1 (List.length dts) in
-      let value dt =
-        if Dtype.is_float dt then
-          map Value.of_f32 (oneofl [ 0.5; 1.0; -2.0; 0.0; -0.0; Float.nan ])
-        else int_range (-3) 3
+      let f32_word =
+        let* bits =
+          frequency
+            [
+              (3, map Value.of_f32 (oneofl [ 0.5; 1.0; -2.0; 0.0; -0.0; Float.nan ]));
+              ( 2,
+                oneofl
+                  [
+                    0x7F80_0000 (* +inf *);
+                    0xFF80_0000 (* -inf *);
+                    0x0000_0001 (* smallest subnormal *);
+                    0x0040_0000;
+                    0x807F_FFFF (* largest negative subnormal *);
+                    0x8000_0000 (* -0.0 *);
+                    0x7F80_0001 (* NaN payloads, both signs *);
+                    0x7FC0_0001;
+                    0xFFC1_2345;
+                    0xFFFF_FFFF;
+                  ] );
+              (1, map (fun n -> n land 0xFFFF_FFFF) int);
+            ]
+        in
+        frequency [ (3, return bits); (1, map (fun h -> bits lor (h lsl 32)) int) ]
       in
-      let* rows =
-        list_size (int_bound 40) (flatten_l (List.map value dts))
+      let tiny = int_range (-3) 3 in
+      let* values =
+        flatten_l
+          (List.map
+             (fun dt ->
+               if Dtype.is_float dt then return f32_word
+               else
+                 oneofl
+                   [
+                     tiny;
+                     frequency [ (3, int_range (-(1 lsl 20)) (1 lsl 20)); (1, tiny) ];
+                     frequency
+                       [ (1, return min_int); (1, return max_int); (2, int); (1, tiny) ];
+                   ])
+             dts)
       in
+      let* n = frequency [ (4, int_bound 40); (1, int_range 1000 3000) ] in
+      let* rows = list_repeat n (flatten_l values) in
       return (dts, key_arity, rows))
   in
   let print (dts, key_arity, rows) =
@@ -367,6 +445,7 @@ let suite =
     ("schema operations", `Quick, test_schema);
     ("relation basics", `Quick, test_relation_basics);
     ("sort stability", `Quick, test_sort_stability);
+    ("key_arity out of range", `Quick, test_key_arity_range);
     ("multiset equality", `Quick, test_equal_multiset);
     ("approximate equality", `Quick, test_approx_equal);
     ("Table 1: union", `Quick, test_table1_union);
