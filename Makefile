@@ -53,13 +53,14 @@ explain: build
 	@echo "explain: conservation exact on all 8 golden workloads"
 
 # Code size, tracked as a design measurement: lines per lib/ library, the
-# bench/ harness, and the number of settable fields in Config.t and
-# Service.config.
+# largest file (lib/weaver/runtime.ml) on its own, the bench/ harness, and
+# the number of settable fields in Config.t and Service.config.
 loc:
 	@for d in lib/*/; do \
 	  printf '%6d %s\n' "$$(cat $$d*.ml $$d*.mli | wc -l)" "$$d"; \
 	done
 	@printf '%6d total\n' "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
+	@printf '%6d lib/weaver/runtime.ml\n' "$$(wc -l < lib/weaver/runtime.ml)"
 	@printf '%6d bench/\n' "$$(cat bench/*.ml | wc -l)"
 	@printf 'Config.t fields: %d\n' "$$(awk '/^type t = \{/ { f = 1; next } \
 	  f && /^\}/ { f = 0 } f && /^  [a-z_]+ :/ { n++ } END { print n }' \

@@ -14,33 +14,44 @@
       just before it runs and its outputs downloaded and freed right
       after, modelling data sets that exceed device memory.
 
-    Fault recovery applies policies in a fixed order (see DESIGN.md,
-    "Fault model & recovery"); every attempt is charged:
-    - capacity overflows (a fused kernel traps because a join expanded
-      past its staging budget, a snapped key range outgrew its tile, or
-      an aggregation table filled) are retried with scaled capacities,
-      up to [config.max_retries];
-    - a fused group that exhausts its retries undergoes {b fission}: the
-      group is split (binary, down to singletons) and each part compiled
-      and run separately;
-    - injected transient faults (device allocation, PCIe transfer — see
-      {!Gpu_sim.Fault_inject}) are retried up to 3 times;
-    - a persistent device OOM during a [Resident] run {b demotes} the run
-      to [Streamed] and restarts it (same PCIe ledger, same injection
-      schedule state), trading residency for footprint;
-    - with [config.checkpoint], verified segment outputs are snapshotted
-      into a budget-bounded host ledger and a recoverable fault —
-      including detected corruption ({!Gpu_sim.Fault.Data_corrupted},
-      the integrity layer: buffers are certified at PCIe boundaries and
-      segment-output adoption, verified before their data is trusted
-      when [config.integrity] is on) — {b rolls back} to the last
-      verified checkpoint and replays only the suffix, charging
-      [Metrics.replayed_cycles] and crediting
-      [Metrics.saved_replay_cycles]. Without the ledger, detected
-      corruption is terminal: there is no safe prefix to resume from;
-    - anything still failing raises {!Execution_error} with a typed
-      {!Gpu_sim.Fault.t} payload ([Recovery_exhausted] when recovery was
-      attempted).
+    Fault recovery is one ladder, tried in this order (DESIGN.md §8 has
+    it as a table). Each row reads fault class → rung (bound; counter;
+    trace instant); every attempt is charged:
+    - injected [Alloc_failure] or [Transfer_failure]
+      ({!Gpu_sim.Fault_inject}) → retry in place (3 per call; [retries];
+      [alloc_retry] / [transfer_retry]);
+    - [Capacity_trap] (a join expanded past its staging budget, a snapped
+      key range outgrew its tile, an aggregation table filled) → retry
+      with that capacity scaled ([config.max_retries] per unit;
+      [retries]; [capacity_retry]);
+    - capacities exhausted in a fused group → {b fission}: re-select
+      under the grown estimate, else halve; the pieces run next from the
+      attempt's work list, so their [weave:] spans are siblings of the
+      group's (down to singletons; [fissions]; [fission]);
+    - capacities exhausted in a lone operator → {b host fallback} (once;
+      no counter; [host_fallback]). A capacity trap never escapes its
+      unit; the rows below see what escapes an attempt;
+    - [Deadline_exceeded] or [Cancelled] → fail as is; any other fault
+      with a cancellation already on the token → fail with the
+      cancellation;
+    - [Alloc_failure], [Transfer_failure] or [Data_corrupted] with
+      [config.checkpoint] on → {b rollback} to the last verified
+      checkpoint, replaying only the suffix ([config.max_retries], and
+      past the first the ledger must have grown; [rollbacks],
+      [replayed_cycles], [saved_replay_cycles]; [rollback]);
+    - [Alloc_failure] in a [Resident] run → {b demotion}: restart
+      [Streamed] with the same PCIe ledger and injection schedule state
+      (once; [demotions]; [demotion]);
+    - [Alloc_failure], [Transfer_failure] or [Data_corrupted] →
+      {!Execution_error} with [Recovery_exhausted]; anything else →
+      {!Execution_error} with the fault as is.
+
+    The checkpoint ledger holds verified segment outputs, snapshotted
+    into a budget-bounded host store. The integrity layer certifies
+    buffers at PCIe boundaries and segment-output adoption, and with
+    [config.integrity] verifies them before their data is trusted
+    ({!Gpu_sim.Fault.Data_corrupted}). Without the ledger, detected
+    corruption is terminal: there is no safe prefix to resume from.
 
     Every recovery action — retry, fission, rollback, demotion — first
     passes one gate: a cancellation already on the token wins, then the
