@@ -5,13 +5,32 @@
    as the exact cells that moved (`dune promote` accepts them — a
    behaviour change, to be justified per cell). The cells are the fault
    suites' seven workloads x {Resident, Streamed} x checkpoint {off, on}
-   x the schedules below, plus a few that reach each recovery-gate veto. *)
+   x the schedules below, then the same grid for a SORT -> UNIQUE workload,
+   plus a few that reach each recovery-gate veto. *)
 
 open Relation_lib
 open Gpu_sim
 open Fault_workloads
 
-let workloads = workloads ()
+(* SORT -> UNIQUE over 1,200 rows with 300 distinct keys: none of the
+   shared workloads holds a UNIQUE, so this one pins a lone operator's
+   slice growth and its host fallback. Appended last, so the gate cells'
+   indices below still name the shared workloads. *)
+let sort_unique =
+  let open Qplan in
+  let s = Schema.make [ ("k", Dtype.I32); ("v", Dtype.I32) ] in
+  let pb = Plan.builder () in
+  let srt = Plan.add pb (Op.Sort { key_arity = 1 }) [ Plan.base pb s ] in
+  ignore (Plan.add pb (Op.Unique { key_arity = 1 }) [ srt ]);
+  {
+    wname = "sort-unique";
+    plan = Plan.build pb;
+    bases =
+      [| Relation.create s (List.init 1_200 (fun i -> [| i * 7919 mod 300; i |])) |];
+    config = Weaver.Config.default;
+  }
+
+let workloads = workloads () @ [ sort_unique ]
 
 let schedules =
   [
