@@ -61,7 +61,8 @@ val run :
     even slice ([max_instructions / grid], rounded up) so detection fires
     under any CTA schedule. [profile], when given (length >= body length),
     receives each instruction's execution count, added in when the launch
-    completes (see {!Profiler}); a faulting launch leaves it untouched.
+    completes (the executor's launch spans name their three hottest pcs
+    from it); a faulting launch leaves it untouched.
     [jobs] (default 1) is the number of worker domains executing CTAs;
     it is clamped to [grid]. When a parallel run faults, the error of the
     lowest faulting CTA index is surfaced — the same error a sequential

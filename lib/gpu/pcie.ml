@@ -22,6 +22,10 @@ let create ?(faults = Fault_inject.none) ?(trace = Weaver_obs.Trace.none)
     seconds = 0.0;
   }
 
+let transfer_seconds (d : Device.t) ~bytes =
+  (d.Device.pcie_latency_us *. 1e-6)
+  +. (float_of_int bytes /. (d.Device.pcie_bw_gbps *. 1e9))
+
 let transfer t dir ~bytes =
   if bytes < 0 then invalid_arg "Pcie.transfer: negative size";
   (match dir with
@@ -29,10 +33,7 @@ let transfer t dir ~bytes =
   | Device_to_host -> t.bytes_d2h <- t.bytes_d2h + bytes);
   t.transfers <- t.transfers + 1;
   let d = t.device in
-  let duration =
-    (d.Device.pcie_latency_us *. 1e-6)
-    +. (float_of_int bytes /. (d.Device.pcie_bw_gbps *. 1e9))
-  in
+  let duration = transfer_seconds d ~bytes in
   t.seconds <- t.seconds +. duration;
   (* the PCIe ledger owns transfer time, so it advances the tracer clock;
      a span is emitted even for a transfer about to fail (it occupied the
@@ -61,8 +62,6 @@ let transfer t dir ~bytes =
      T.instant t.trace ~lane:T.Pcie "transfer_fault";
      raise e);
   duration
-
-let transfer_words t dir ~words ~width = transfer t dir ~bytes:(words * width)
 
 let total_bytes t = t.bytes_h2d + t.bytes_d2h
 let bytes_h2d t = t.bytes_h2d

@@ -23,8 +23,11 @@ val transfer : t -> direction -> bytes:int -> float
     time are still charged (the bus was occupied) and {!Fault.Error}
     ([Transfer_failure]) is raised. *)
 
-val transfer_words : t -> direction -> words:int -> width:int -> float
-(** Convenience: [transfer t dir ~bytes:(words * width)]. *)
+val transfer_seconds : Device.t -> bytes:int -> float
+(** The cost model of one transfer of [bytes] on [device], in seconds: a
+    fixed latency plus bandwidth-proportional time. {!transfer} charges
+    exactly this; callers that weigh a transfer before making it (the
+    runtime's checkpoint policy) read it here. *)
 
 val total_bytes : t -> int
 val bytes_h2d : t -> int

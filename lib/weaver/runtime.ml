@@ -466,9 +466,7 @@ let snapshot st op_id (m : mat) =
       | Resident ->
           let d = device st in
           let d2h_cycles =
-            ((d.Device.pcie_latency_us *. 1e-6)
-            +. (float_of_int bytes /. (d.Device.pcie_bw_gbps *. 1e9)))
-            *. d.Device.clock_ghz *. 1e9
+            Pcie.transfer_seconds d ~bytes *. d.Device.clock_ghz *. 1e9
           in
           d2h_cycles
           <= ckpt_overhead_bound *. (spent_cycles st.run -. ck.ck_last_spent)
@@ -516,6 +514,24 @@ let publish st op_id ~schema ~rows buf =
       ignore (download st m);
       free_device st m
   | Resident -> ()
+
+(* Publish a unit's [(op_id, schema, buf, rows)] outputs, then release
+   its input [sources]. If publishing itself fails (a Streamed download's
+   transfer fault, a deadline at a transfer checkpoint), outputs not yet
+   adopted by a mat are freed here; published ones are the run-level
+   cleanup's responsibility. *)
+let publish_all st outs sources =
+  try
+    Array.iter
+      (fun (op_id, schema, buf, rows) -> publish st op_id ~schema ~rows buf)
+      outs;
+    consume st sources
+  with e ->
+    Array.iter
+      (fun (op_id, _, buf, _) ->
+        if st.node_mats.(op_id) = None then Memory.free st.mem buf)
+      outs;
+    raise e
 
 (* --- kernels: woven KIR is certified before it runs ---------------------- *)
 
@@ -649,6 +665,15 @@ exception Capacity_exhausted of Config.t
    a fused group splits under the grown estimate (the JIT re-planning the
    paper's runtime design anticipates), a lone operator runs host-side *)
 
+(* A lone operator's growth rule: double one capacity of the unit's
+   config ([get], [set]) up to [bound]; at the bound, or out of retries,
+   the operator runs host-side. *)
+let doubling ~bound get set c ~which:_ ~segment:_ ~tries =
+  let next = min (get c * 2) bound in
+  if next <= get c || tries >= c.Config.max_retries then
+    raise (Capacity_exhausted c);
+  set c next
+
 (* One unit's capacity-retry loop. Each attempt runs [body] on the
    current sizing with [scratch] (registers a buffer freed when the
    attempt ends) and [keep] (registers an output handed to the caller on
@@ -686,37 +711,97 @@ let with_capacity_retries st ~grow init body =
   in
   attempt init 0
 
-(* --- fused groups --------------------------------------------------------- *)
+(* --- the unit skeleton ---------------------------------------------------- *)
 
-(* Run the scan-then-gather tail for one output; returns the dense buffer
-   and its row count. The scratch offsets (and, when a launch faults
-   mid-way, the partially-written output) are released on every path so
-   retries never accumulate dead buffers. *)
-let scan_and_gather st ~name ~scan_k ~gather_k ~staging ~counts ~grid ~schema =
-  let offsets =
-    alloc_buf st ~label:(name ^ "_offsets") ~words:(grid + 1)
-      ~bytes:(4 * (grid + 1))
+(* Every device unit is the paper's multi-stage skeleton: partition,
+   compute, tail. One attempt allocates the bounds (one per input mat),
+   then per output a staging area ([stage.(o)] is its schema and the rows
+   each CTA stages) and a counts array, all [scratch]; the [tail] then
+   allocates what it needs before the launches. Partition (32 threads)
+   and compute ([cta] threads) launch over [grid] CTAs, the tail's own
+   launches follow, and the inputs are verified last. Injection hooks
+   fire before the interpreter reads, so inputs that verify clean here
+   were clean for every kernel of the unit; a corrupted input means the
+   attempt's outputs cannot be trusted and must not be published. A fused
+   [group] names its buffers by input and output index and verifies at
+   [<group>_inputs]; a lone operator verifies at [<name>_input]. [ks] is
+   the unit's certified kernels: partition, compute, then the tail's. *)
+let skeleton st ~name ~group ~in_mats ~stage ~cta ~grid ks ~scratch tail =
+  let label what i =
+    if group then Printf.sprintf "%s_%s%d" name what i else name ^ "_" ^ what
   in
-  match
-    ignore (launch st scan_k ~params:[| counts; offsets; grid |] ~grid:1 ~cta:1);
-    let total = (Memory.data st.mem offsets).(grid) in
-    let out = alloc_rel st ~label:(name ^ "_out") ~rows:total ~schema in
-    (try
-       ignore
-         (launch st gather_k
-            ~params:[| staging; counts; offsets; out |]
-            ~grid ~cta:(config st).Config.cta_threads)
-     with e ->
-       Memory.free st.mem out;
-       raise e);
-    (out, total)
-  with
-  | res ->
-      Memory.free st.mem offsets;
-      res
-  | exception e ->
-      Memory.free st.mem offsets;
-      raise e
+  let words_buf what i words =
+    scratch (alloc_buf st ~label:(label what i) ~words ~bytes:(4 * words))
+  in
+  let bounds =
+    Array.mapi (fun i _ -> words_buf "bounds" i (grid + 1)) in_mats
+  in
+  let stagings =
+    Array.mapi
+      (fun o (schema, per_cta) ->
+        scratch
+          (alloc_rel st ~label:(label "staging" o) ~rows:(grid * per_cta)
+             ~schema))
+      stage
+  in
+  let counts = Array.mapi (fun o _ -> words_buf "counts" o grid) stage in
+  let partition, compute, tail_ks =
+    match ks with
+    | p :: c :: rest -> (p, c, Array.of_list rest)
+    | _ -> assert false
+  in
+  let finish = tail tail_ks ~stagings ~counts ~grid in
+  let bufs = Array.map (fun (m : mat) -> Option.get m.buf) in_mats in
+  let part_params =
+    Array.concat
+      (List.mapi
+         (fun i (m : mat) -> [| bufs.(i); m.rows |])
+         (Array.to_list in_mats)
+      @ [ bounds ])
+  in
+  ignore (launch st partition ~params:part_params ~grid ~cta:32);
+  ignore
+    (launch st compute
+       ~params:(Array.concat [ bufs; bounds; stagings; counts ])
+       ~grid ~cta);
+  let outs = finish () in
+  let site = name ^ if group then "_inputs" else "_input" in
+  Array.iter (fun m -> check_mat st m ~site) in_mats;
+  outs
+
+(* The fused and UNIQUE tail: per output [(op_id, schema)], an offset scan
+   over the CTA counts, then a gather of the staged rows into a dense
+   buffer, [keep]'d once written ([ks] holds the scans, then the gathers).
+   The offsets, and an output whose gather faults, are freed on every
+   path so retries never accumulate dead buffers. *)
+let gather_tail st ~name ~group ~outputs ~keep ks ~stagings ~counts ~grid () =
+  let n_out = Array.length outputs in
+  Array.mapi
+    (fun o (op_id, schema) ->
+      let name = if group then Printf.sprintf "%s_out%d" name o else name in
+      let offsets =
+        alloc_buf st ~label:(name ^ "_offsets") ~words:(grid + 1)
+          ~bytes:(4 * (grid + 1))
+      in
+      Fun.protect ~finally:(fun () -> Memory.free st.mem offsets) @@ fun () ->
+      ignore
+        (launch st ks.(o)
+           ~params:[| counts.(o); offsets; grid |]
+           ~grid:1 ~cta:1);
+      let rows = (Memory.data st.mem offsets).(grid) in
+      let out = alloc_rel st ~label:(name ^ "_out") ~rows ~schema in
+      (try
+         ignore
+           (launch st ks.(n_out + o)
+              ~params:[| stagings.(o); counts.(o); offsets; out |]
+              ~grid ~cta:(config st).Config.cta_threads)
+       with e ->
+         Memory.free st.mem out;
+         raise e);
+      (op_id, schema, keep out, rows))
+    outputs
+
+(* --- fused groups --------------------------------------------------------- *)
 
 (* Degenerate-data fallback: when one operator cannot execute on the
    device at all (a key run larger than shared memory defeats the CTA
@@ -760,9 +845,9 @@ let exec_fallback st ~name ~op_id ~consumed_sources =
   in
   Array.blit (Relation.data out) 0 (Memory.data st.mem buf) 0
     (Array.length (Relation.data out));
-  publish st op_id ~schema:(Relation.schema out) ~rows:(Relation.count out)
-    buf;
-  consume st consumed_sources
+  publish_all st
+    [| (op_id, Relation.schema out, buf, Relation.count out) |]
+    consumed_sources
 
 (* Fig. 18 accounting: what materializing this group's internal edges
    would have cost an unfused plan. Static upper bounds: a segment's
@@ -858,8 +943,6 @@ let exec_fused st ~name (ir : Fusion.t) =
     ("weave:" ^ name)
   @@ fun () ->
   let plan = st.run.program.plan in
-  let n_in = Array.length ir.inputs in
-  let n_out = Array.length ir.outputs in
   (* per-segment join-expansion overrides accumulated across retries *)
   let seg_exp : (int, int) Hashtbl.t = Hashtbl.create 4 in
   let in_mats = Array.map (fun (i : Fusion.input_info) -> mat_of_source st i.source) ir.inputs in
@@ -942,11 +1025,8 @@ let exec_fused st ~name (ir : Fusion.t) =
             ir.inputs;
           Some !best
     in
-    (* launch order: partition, compute, then output o's scan [2 + o] and
-       gather [2 + n_out + o] *)
     let ks =
-      Array.of_list
-        (certify st (unit_kernels ?pivot ~lay cfg plan (U_fused { name; ir })))
+      certify st (unit_kernels ?pivot ~lay cfg plan (U_fused { name; ir }))
     in
     let driving_rows =
       (* enough CTAs that the pivot's slices AND every even input's slices
@@ -962,73 +1042,16 @@ let exec_fused st ~name (ir : Fusion.t) =
       | Some p -> max in_mats.(p).rows even_max
       | None -> even_max
     in
-    let grid = clamp_grid ~rows:driving_rows ~cap:lay.Layout.cap in
-    let bounds =
-      Array.init n_in (fun i ->
-          scratch
-            (alloc_buf st ~label:(Printf.sprintf "%s_bounds%d" name i)
-               ~words:(grid + 1) ~bytes:(4 * (grid + 1))))
-    in
-    let stagings =
-      Array.init n_out (fun o ->
-          let schema = snd ir.outputs.(o) in
-          let rows = grid * lay.Layout.out_caps.(o) in
-          scratch
-            (alloc_buf st ~label:(Printf.sprintf "%s_staging%d" name o)
-               ~words:(max 1 (rows * Schema.arity schema))
-               ~bytes:(rows * Schema.tuple_bytes schema)))
-    in
-    let counts =
-      Array.init n_out (fun o ->
-          scratch
-            (alloc_buf st ~label:(Printf.sprintf "%s_counts%d" name o)
-               ~words:grid ~bytes:(4 * grid)))
-    in
-    let part_params =
-      Array.concat
-        [
-          Array.concat
-            (Array.to_list
-               (Array.map (fun (m : mat) -> [| Option.get m.buf; m.rows |]) in_mats));
-          bounds;
-        ]
-    in
-    ignore (launch st ks.(0) ~params:part_params ~grid ~cta:32);
-    let comp_params =
-      Array.concat
-        [
-          Array.map (fun (m : mat) -> Option.get m.buf) in_mats;
-          bounds;
-          stagings;
-          counts;
-        ]
-    in
-    ignore
-      (launch st ks.(1) ~params:comp_params ~grid
-         ~cta:(config st).Config.cta_threads);
-    (* per-output gather *)
-    let outs =
-      Array.init n_out (fun o ->
-          let op_id, schema = ir.outputs.(o) in
-          let buf, rows =
-            scan_and_gather st
-              ~name:(Printf.sprintf "%s_out%d" name o)
-              ~scan_k:ks.(2 + o) ~gather_k:ks.(2 + n_out + o)
-              ~staging:stagings.(o) ~counts:counts.(o) ~grid ~schema
-          in
-          (op_id, schema, keep buf, rows))
-    in
-    (* post-launch input verification: injection hooks fire before the
-       interpreter reads, so inputs that verify clean here were clean for
-       every kernel of this unit — a corrupted input means the attempt's
-       outputs cannot be trusted and must not be published *)
-    Array.iter
-      (fun (mm : mat) -> check_mat st mm ~site:(name ^ "_inputs"))
-      in_mats;
-    outs
+    skeleton st ~name ~group:true ~in_mats
+      ~stage:
+        (Array.mapi (fun o (_, s) -> (s, lay.Layout.out_caps.(o))) ir.outputs)
+      ~cta:(config st).Config.cta_threads
+      ~grid:(clamp_grid ~rows:driving_rows ~cap:lay.Layout.cap)
+      ks ~scratch
+      (gather_tail st ~name ~group:true ~outputs:ir.outputs ~keep)
   in
   match with_capacity_retries st ~grow (None, config st) attempt with
-  | outs -> (
+  | outs ->
       (* the group's kernels ran: its fusion counterfactual is evidence
          now, whatever publishing does *)
       if (config st).Config.attrib then
@@ -1036,21 +1059,7 @@ let exec_fused st ~name (ir : Fusion.t) =
           (counterfactual_of ~plan:st.run.program.plan ~name
              ~in_rows:(Array.map (fun (m : mat) -> m.rows) in_mats)
              ir);
-      (* publish outputs, then release inputs. If publishing itself fails
-         (a Streamed download's transfer fault, a deadline at a transfer
-         checkpoint), outputs not yet adopted by a mat are freed here —
-         published ones are the run-level cleanup's responsibility. *)
-      try
-        Array.iter
-          (fun (op_id, schema, buf, rows) -> publish st op_id ~schema ~rows buf)
-          outs;
-        consume st (fused_inputs ir)
-      with e ->
-        Array.iter
-          (fun (op_id, _, buf, _) ->
-            if st.node_mats.(op_id) = None then Memory.free st.mem buf)
-          outs;
-        raise e)
+      publish_all st outs (fused_inputs ir)
   | exception Capacity_exhausted _ when List.length ir.op_ids < 2 ->
       exec_fallback st ~name ~op_id:(List.hd ir.op_ids)
         ~consumed_sources:(fused_inputs ir)
@@ -1127,149 +1136,85 @@ let exec_sort st ~op_id ~key_arity ~source =
    with e ->
      Memory.free st.mem out;
      raise e);
-  publish st op_id ~schema:m.schema ~rows:m.rows out;
-  consume st [ source ]
+  publish_all st [| (op_id, m.schema, out, m.rows) |] [ source ]
 
 let exec_unique st ~op_id ~key_arity ~source =
-  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
-    (Printf.sprintf "unique%d" op_id)
+  let name = Printf.sprintf "unique%d" op_id in
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host name
   @@ fun () ->
   let m = mat_of_source st source in
   ignore (upload st m);
   ensure_sorted st m ~key_arity;
   let cfg = config st in
-  let name = Printf.sprintf "unique%d" op_id in
   let u = U_unique { op_id; key_arity; source } in
-  (* the flags scratch (one shared word per row) bounds how far the slice
-     capacity can grow on retries *)
-  let max_cap =
-    max cfg.Config.cap (cfg.Config.device.Device.max_shared_mem_per_cta / 8)
-  in
-  (* a key run outgrew the slice: double the slice until the flags
-     scratch no longer fits shared memory, then run host-side *)
-  let grow (c : Config.t) ~which:_ ~segment:_ ~tries =
-    let next = min (c.Config.cap * 2) max_cap in
-    if next <= c.Config.cap || tries >= cfg.Config.max_retries then
-      raise (Capacity_exhausted c);
-    { c with Config.cap = next }
+  (* a key run outgrew the slice: double it while the flags scratch (one
+     shared word per row) fits shared memory *)
+  let grow =
+    doubling
+      ~bound:
+        (max cfg.Config.cap
+           (cfg.Config.device.Device.max_shared_mem_per_cta / 8))
+      (fun c -> c.Config.cap)
+      (fun c cap -> { c with Config.cap })
   in
   let attempt (c : Config.t) ~scratch ~keep =
     let cap = c.Config.cap in
-    let grid = clamp_grid ~rows:m.rows ~cap in
-    let partition, compute, scan_k, gather_k =
-      match certify st ~op:op_id (unit_kernels c st.run.program.plan u) with
-      | [ p; c; s; g ] -> (p, c, s, g)
-      | _ -> assert false
-    in
-    let bounds =
-      scratch
-        (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
-           ~bytes:(4 * (grid + 1)))
-    in
-    let staging =
-      scratch
-        (alloc_buf st ~label:(name ^ "_staging")
-           ~words:(max 1 (grid * cap * Schema.arity m.schema))
-           ~bytes:(grid * cap * Schema.tuple_bytes m.schema))
-    in
-    let counts =
-      scratch
-        (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
-    in
-    let buf = Option.get m.buf in
-    ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
-    ignore
-      (launch st compute
-         ~params:[| buf; bounds; staging; counts |]
-         ~grid ~cta:cfg.Config.cta_threads);
-    let out, rows =
-      scan_and_gather st ~name ~scan_k ~gather_k ~staging ~counts ~grid
-        ~schema:m.schema
-    in
-    ignore (keep out);
-    (* post-launch input verification (see exec_fused) *)
-    check_mat st m ~site:(name ^ "_input");
-    (out, rows)
+    skeleton st ~name ~group:false ~in_mats:[| m |] ~stage:[| (m.schema, cap) |]
+      ~cta:cfg.Config.cta_threads ~grid:(clamp_grid ~rows:m.rows ~cap)
+      (certify st ~op:op_id (unit_kernels c st.run.program.plan u))
+      ~scratch
+      (gather_tail st ~name ~group:false ~outputs:[| (op_id, m.schema) |] ~keep)
   in
   match with_capacity_retries st ~grow cfg attempt with
   | exception Capacity_exhausted _ ->
       exec_fallback st ~name ~op_id ~consumed_sources:[ source ]
-  | out, rows ->
-      publish st op_id ~schema:m.schema ~rows out;
-      consume st [ source ]
+  | outs -> publish_all st outs [ source ]
 
 let exec_aggregate st ~op_id ~source ~(lay : Ra_lib.Aggregate_emit.layout) =
-  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
-    (Printf.sprintf "aggregate%d" op_id)
+  let name = Printf.sprintf "aggregate%d" op_id in
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host name
   @@ fun () ->
   let m = mat_of_source st source in
   ignore (upload st m);
   let cfg = config st in
-  let name = Printf.sprintf "aggregate%d" op_id in
   let u = U_aggregate { op_id; source; lay } in
+  let partial_schema = lay.Ra_lib.Aggregate_emit.partial_schema
+  and out_schema = lay.Ra_lib.Aggregate_emit.out_schema in
   (* the CTA table must fit shared memory; leave room for rounding *)
   let fit_cap =
     max 1
       (cfg.Config.device.Device.max_shared_mem_per_cta * 3 / 4
-      / max 1 (Schema.tuple_bytes lay.Ra_lib.Aggregate_emit.partial_schema))
+      / max 1 (Schema.tuple_bytes partial_schema))
   in
-  let grow (c : Config.t) ~which:_ ~segment:_ ~tries =
-    let next = min (c.Config.max_groups * 2) fit_cap in
-    if next <= c.Config.max_groups || tries >= cfg.Config.max_retries then
-      raise (Capacity_exhausted c);
-    { c with Config.max_groups = next }
+  let grow =
+    doubling ~bound:fit_cap
+      (fun c -> c.Config.max_groups)
+      (fun c max_groups -> { c with Config.max_groups })
   in
-  let out_schema = lay.Ra_lib.Aggregate_emit.out_schema in
   let attempt (c : Config.t) ~scratch ~keep =
     let max_groups = c.Config.max_groups in
-    let grid = clamp_grid ~rows:m.rows ~cap:(aggregate_slice cfg) in
-    let partition, partial, final =
-      match certify st ~op:op_id (unit_kernels c st.run.program.plan u) with
-      | [ p; q; f ] -> (p, q, f)
-      | _ -> assert false
-    in
-    let bounds =
-      scratch
-        (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
-           ~bytes:(4 * (grid + 1)))
-    in
-    let staging =
-      scratch
-        (alloc_buf st ~label:(name ^ "_staging")
-           ~words:
-             (max 1
-                (grid * max_groups
-                * Schema.arity lay.Ra_lib.Aggregate_emit.partial_schema))
-           ~bytes:
-             (grid * max_groups
-             * Schema.tuple_bytes lay.Ra_lib.Aggregate_emit.partial_schema))
-    in
-    let counts =
-      scratch
-        (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
-    in
-    let out =
-      keep
-        (alloc_rel st ~label:(name ^ "_out") ~rows:max_groups
-           ~schema:out_schema)
-    in
-    let out_count =
-      scratch (alloc_buf st ~label:(name ^ "_outcount") ~words:1 ~bytes:4)
-    in
-    let buf = Option.get m.buf in
-    ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
-    ignore
-      (launch st partial
-         ~params:[| buf; bounds; staging; counts |]
-         ~grid ~cta:32);
-    ignore
-      (launch st final
-         ~params:[| staging; counts; grid; out; out_count |]
-         ~grid:1 ~cta:1);
-    let rows = (Memory.data st.mem out_count).(0) in
-    (* post-launch input verification (see exec_fused) *)
-    check_mat st m ~site:(name ^ "_input");
-    (out, rows)
+    skeleton st ~name ~group:false ~in_mats:[| m |]
+      ~stage:[| (partial_schema, max_groups) |] ~cta:32
+      ~grid:(clamp_grid ~rows:m.rows ~cap:(aggregate_slice cfg))
+      (certify st ~op:op_id (unit_kernels c st.run.program.plan u))
+      ~scratch
+      (fun ks ~stagings ~counts ~grid ->
+        (* the final reduction: one CTA folds every partial table into a
+           [max_groups]-row output, allocated before the launches *)
+        let out =
+          keep
+            (alloc_rel st ~label:(name ^ "_out") ~rows:max_groups
+               ~schema:out_schema)
+        in
+        let out_count =
+          scratch (alloc_buf st ~label:(name ^ "_outcount") ~words:1 ~bytes:4)
+        in
+        fun () ->
+          ignore
+            (launch st ks.(0)
+               ~params:[| stagings.(0); counts.(0); grid; out; out_count |]
+               ~grid:1 ~cta:1);
+          (out, (Memory.data st.mem out_count).(0)))
   in
   match
     with_capacity_retries st ~grow
@@ -1279,19 +1224,18 @@ let exec_aggregate st ~op_id ~source ~(lay : Ra_lib.Aggregate_emit.layout) =
   | exception Capacity_exhausted _ ->
       exec_fallback st ~name ~op_id ~consumed_sources:[ source ]
   | out, rows ->
-  (* shrink the result to its actual size; [out] is unowned until the
-     dense copy exists, so free it if the shrink allocation fails *)
-  let dense =
-    try alloc_rel st ~label:(name ^ "_dense") ~rows ~schema:out_schema
-    with e ->
+      (* shrink the result to its actual size; [out] is unowned until the
+         dense copy exists, so free it if the shrink allocation fails *)
+      let dense =
+        try alloc_rel st ~label:(name ^ "_dense") ~rows ~schema:out_schema
+        with e ->
+          Memory.free st.mem out;
+          raise e
+      in
+      Array.blit (Memory.data st.mem out) 0 (Memory.data st.mem dense) 0
+        (rows * Schema.arity out_schema);
       Memory.free st.mem out;
-      raise e
-  in
-  Array.blit (Memory.data st.mem out) 0 (Memory.data st.mem dense) 0
-    (rows * Schema.arity out_schema);
-  Memory.free st.mem out;
-  publish st op_id ~schema:out_schema ~rows dense;
-  consume st [ source ]
+      publish_all st [| (op_id, out_schema, dense, rows) |] [ source ]
 
 (* --- top level ------------------------------------------------------------ *)
 

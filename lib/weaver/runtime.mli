@@ -2,9 +2,16 @@
 
     Mirrors the paper's lightweight host runtime layer (Harmony/Ocelot in
     Fig. 5): it stages relations into device buffers, launches each
-    execution unit's kernels (partition, compute, offset scan, gather),
-    reads back result sizes, manages buffer lifetimes and accounts PCIe
-    traffic.
+    execution unit's kernels, reads back result sizes, manages buffer
+    lifetimes and accounts PCIe traffic.
+
+    Every device unit — a fused group, a UNIQUE, an AGGREGATE — runs one
+    skeleton, the paper's multi-stage operator: per attempt it allocates
+    bounds per input and staging plus counts per output, launches
+    partition then compute, and runs a tail. For fused groups and UNIQUE
+    the tail is an offset scan plus a gather per output; for AGGREGATE it
+    is the final reduction. The inputs are verified last, and the outputs
+    published together. A SORT is modelled host-side.
 
     Two transfer modes reproduce the two evaluation regimes:
     - [Resident] (small inputs, Figs. 16-18): base relations are uploaded
@@ -23,7 +30,10 @@
     - [Capacity_trap] (a join expanded past its staging budget, a snapped
       key range outgrew its tile, an aggregation table filled) → retry
       with that capacity scaled ([config.max_retries] per unit;
-      [retries]; [capacity_retry]);
+      [retries]; [capacity_retry]). A lone operator follows one doubling
+      rule with a bound: UNIQUE's slice up to shared memory / 8,
+      AGGREGATE's table up to the groups that fit ¾ of shared memory;
+      reaching the bound exhausts its capacities;
     - capacities exhausted in a fused group → {b fission}: re-select
       under the grown estimate, else halve; the pieces run next from the
       attempt's work list, so their [weave:] spans are siblings of the

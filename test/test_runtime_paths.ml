@@ -127,6 +127,43 @@ let test_capacity_exhaustion_falls_back () =
        result.Weaver.Runtime.metrics.Weaver.Metrics.reports);
   check_no_leaks ~what:"capacity exhaustion" result
 
+let test_unique_slice_fallback () =
+  (* every launch traps on capacity: the UNIQUE slice doubles up to its
+     shared-memory bound (flags scratch, one word per row), then the
+     operator runs host-side, still exact and leak-free *)
+  let pb = Plan.builder () in
+  let u = Plan.add pb (Op.Unique { key_arity = 1 }) [ Plan.base pb s2 ] in
+  let plan = Plan.build pb in
+  let fallback =
+    match u with
+    | Plan.Node id -> Printf.sprintf "unique%d_skew_fallback" id
+    | Plan.Base _ -> assert false
+  in
+  let rel =
+    Relation.create s2 (List.init 1_200 (fun i -> [| i * 7919 mod 300; i |]))
+  in
+  let config =
+    { Weaver.Config.default with Weaver.Config.faults = Some "launch@1x11" }
+  in
+  let reference = Reference.eval_sinks plan [| rel |] in
+  let program = Weaver.Driver.compile ~config plan in
+  let result =
+    Weaver.Driver.run program [| rel |] ~mode:Weaver.Runtime.Resident
+  in
+  List.iter2
+    (fun (_, r) (_, g) ->
+      Alcotest.(check (array int)) "fallback bit-exact" (Relation.data r)
+        (Relation.data g))
+    reference result.Weaver.Runtime.sinks;
+  let m = result.Weaver.Runtime.metrics in
+  Alcotest.(check bool) "unique fallback reported" true
+    (List.exists
+       (fun (lr : Gpu_sim.Executor.launch_report) ->
+         lr.Gpu_sim.Executor.kernel_name = fallback)
+       m.Weaver.Metrics.reports);
+  Alcotest.(check bool) "retried" true (m.Weaver.Metrics.retries > 0);
+  check_no_leaks ~what:"unique fallback" result
+
 let test_streamed_error_path () =
   (* an unrecoverable device OOM mid-run in Streamed mode surfaces as a
      typed Recovery_exhausted; the state is per-run, so an immediate
@@ -252,6 +289,7 @@ let suite =
     ("degenerate-skew fallback", `Quick, test_skew_fallback);
     ("aggregate table growth", `Quick, test_aggregate_table_growth);
     ("capacity exhaustion falls back", `Quick, test_capacity_exhaustion_falls_back);
+    ("unique slice growth falls back", `Quick, test_unique_slice_fallback);
     ("streamed error path", `Quick, test_streamed_error_path);
     ("implicit sort at group boundary", `Quick, test_implicit_sort_charged);
     ("resident mode frees intermediates", `Quick, test_resident_frees_intermediates);
