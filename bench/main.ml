@@ -121,6 +121,48 @@ let bechamel_suite ~jobs () =
       (Staged.stage (fun () ->
            ignore (Relation_lib.Relation.sort ~key_arity:2 r)))
   in
+  (* one interpreted launch on its own: Q1's fused compute kernel over
+     20,000 lineitems, captured at its launch and replayed on a copy of
+     device memory (the kernel never reads what it writes, so every
+     replay does the same work). Divide by the printed instruction count
+     for ns per simulated instruction. *)
+  let replay_test =
+    let module M = Gpu_sim.Memory in
+    (* a copy of [mem] with the same handles *)
+    let clone mem =
+      let m = M.create Gpu_sim.Device.fermi_c2050 in
+      let top =
+        List.fold_left (fun acc (h, _) -> max acc h) 0 (M.live_buffers mem)
+      in
+      for h = 1 to top do
+        let live = M.is_live mem h in
+        let words = if live then M.words mem h else 0 in
+        let h' = M.alloc m ~words ~bytes:(if live then M.bytes mem h else 0) in
+        assert (h' = h);
+        if live then Array.blit (M.data mem h) 0 (M.data m h) 0 words
+        else M.free m h
+      done;
+      m
+    in
+    let q = Tpch.Queries.q1 in
+    let db = Tpch.Datagen.generate ~seed:1 ~lineitems:20_000 in
+    let program = Weaver.Driver.compile q.Tpch.Queries.plan in
+    let captured = ref None in
+    Gpu_sim.Interp.with_launch_observer
+      (fun mem k ~params ~grid ~cta ->
+        if k.Gpu_sim.Kir.kname = "group0_compute" && !captured = None then
+          captured := Some (clone mem, k, params, grid, cta))
+      (fun () ->
+        ignore
+          (Weaver.Runtime.run program (q.Tpch.Queries.bind db)
+             ~mode:Weaver.Runtime.Resident));
+    let mem, k, params, grid, cta = Option.get !captured in
+    let run () = Gpu_sim.Interp.run mem k ~params ~grid ~cta in
+    Printf.printf "interp/q1-group0_compute: %d simulated instructions\n"
+      (run ()).Gpu_sim.Stats.instructions;
+    Test.make ~name:"interp/q1-group0_compute"
+      (Staged.stage (fun () -> ignore (run ())))
+  in
   (* the jobs pair must time two distinct configurations, so a request
      that resolves to one worker compares against four *)
   let seq = Weaver.Config.with_jobs Weaver.Config.default 1 in
@@ -147,6 +189,7 @@ let bechamel_suite ~jobs () =
           ~label:"pattern-a-jobs1-traced";
         compile_test;
         optimize_test;
+        replay_test;
         sort_test ~name:"sort/q1-shape-20000" [ 7; 8; 3; 4; 5; 6; 9 ];
         sort_test ~name:"sort/f32-keys-20000" [ 3; 4; 7; 8; 5; 6; 9 ];
       ]

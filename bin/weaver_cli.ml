@@ -791,7 +791,11 @@ let lane_summary trace keep =
     (fun (e : Weaver_obs.Trace.event) ->
       if keep e.Weaver_obs.Trace.lane then begin
         let key = Weaver_obs.Trace.lane_name e.Weaver_obs.Trace.lane in
-        if not (Hashtbl.mem tbl key) then order := key :: !order;
+        (* a lane whose first event is a counter still gets its line *)
+        if not (Hashtbl.mem tbl key) then begin
+          order := key :: !order;
+          Hashtbl.replace tbl key (0, 0)
+        end;
         let spans, instants =
           Option.value ~default:(0, 0) (Hashtbl.find_opt tbl key)
         in

@@ -6,6 +6,7 @@ type report = {
   kname : string;
   diags : Diag.t list;
   certificate : Resources.certificate;
+  stores_disjoint : bool;
   instrs : int;
 }
 
@@ -50,11 +51,8 @@ let analyze ?(regions = []) ?expected_regs ?(trace = Weaver_obs.Trace.none)
     let live = Live.compute cfg in
     let uni = Uniform.compute cfg in
     let sym = Sym.create cfg defs uni in
-    let diags =
-      divergence cfg uni
-      @ Races.analyze cfg sym
-      @ Hygiene.analyze cfg defs live
-    in
+    let races, stores_disjoint = Races.check cfg sym in
+    let diags = divergence cfg uni @ races @ Hygiene.analyze cfg defs live in
     let rdiags, certificate =
       Resources.analyze cfg sym live ~regions ~expected_regs
     in
@@ -62,6 +60,7 @@ let analyze ?(regions = []) ?expected_regs ?(trace = Weaver_obs.Trace.none)
       kname = k.Kir.kname;
       diags = List.sort Diag.compare (diags @ rdiags);
       certificate;
+      stores_disjoint;
       instrs = Array.length k.Kir.body;
     }
   in

@@ -11,6 +11,10 @@ type report = {
   kname : string;
   diags : Diag.t list;  (** sorted, errors first *)
   certificate : Resources.certificate;
+  stores_disjoint : bool;
+      (** no two threads of one CTA may store to the same global word
+          between two barriers ({!Races.check}); a certificate fact, not a
+          diagnostic *)
   instrs : int;
 }
 

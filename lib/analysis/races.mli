@@ -18,3 +18,15 @@
     race with themselves. *)
 
 val analyze : Cfg.t -> Sym.t -> Diag.t list
+
+val check : Cfg.t -> Sym.t -> Diag.t list * bool
+(** [analyze]'s diagnostics, and whether the global stores are
+    {e disjoint}: no two threads of one CTA may store to the same global
+    word between two barriers. Pairs of global stores are judged by the
+    shared-memory rules above, with one extension: a uniform additive term
+    peeled off the index leaves the class of the thread-distinct core
+    beneath it, and two stores whose uniform terms are the same are judged
+    on those cores. Stores through distinct bases (distinct parameters or
+    constant handles) are assumed to name distinct buffers, which the
+    interpreter checks per launch before it relies on the fact. The
+    extension applies to this fact only, never to a diagnostic. *)

@@ -50,8 +50,12 @@ let run ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) ~jobs f =
     let module T = Weaver_obs.Trace in
     if T.recording trace && T.has_clock trace then fun w ->
       let s = T.wall_span trace ~lane:(T.Worker w) "interp" in
-      Fun.protect ~finally:(fun () -> T.close trace s) (fun () -> f w)
-    else f
+      match f w with
+      | args -> T.close trace s ~args
+      | exception e ->
+          T.close trace s;
+          raise e
+    else fun w -> ignore (f w)
   in
   if jobs <= 1 then f 0
   else begin

@@ -10,10 +10,16 @@ val default_jobs : unit -> int
     [WEAVER_JOBS] environment variable. Always at least 1. *)
 
 val run :
-  ?cancel:Cancel.t -> ?trace:Weaver_obs.Trace.t -> jobs:int -> (int -> unit) -> unit
+  ?cancel:Cancel.t ->
+  ?trace:Weaver_obs.Trace.t ->
+  jobs:int ->
+  (int -> (string * Weaver_obs.Trace.value) list) ->
+  unit
 (** [run ~jobs f] executes [f 0 .. f (jobs - 1)] concurrently — [f 0] on
     the calling domain, the rest on pool workers — and returns when all
-    have finished. If any worker raised, the exception of the
+    have finished. When [trace] records events and has a wall clock, each
+    [f w] runs inside a wall-clock span on worker lane [w], closed with the
+    arguments [f w] returns. If any worker raised, the exception of the
     lowest-indexed failing worker is re-raised (a deterministic choice).
     [jobs <= 1] degenerates to a plain call of [f 0]. A fired [cancel]
     token makes [run] raise before dispatching any work; cancellation

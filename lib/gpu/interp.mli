@@ -18,12 +18,32 @@
     launch values, and a global access
     whose base folds to a live buffer handle binds that buffer's backing
     array once (an invalid handle still faults only when its instruction
-    executes). The interpreter counts block entries, one counter per block
-    per worker; the {!Stats} counters and the per-pc profile are both those
-    counts times each block's static contents. The instruction budget is
-    charged per block, and per instruction once the remaining budget no
-    longer covers a whole block, so exhaustion fires before exactly the
-    instruction it would under per-instruction charging.
+    executes). The register file is register-major: one array per
+    register, indexed by thread. The interpreter counts block entries, one
+    counter per block per worker; the {!Stats} counters and the per-pc
+    profile are both those counts times each block's static contents. The
+    instruction budget is charged per block, and per instruction once the
+    remaining budget no longer covers a whole block, so exhaustion fires
+    before exactly the instruction it would under per-instruction charging.
+
+    {b Thread batching.} A launch of more than one thread per CTA whose
+    kernel carries the gate's [Kir.stores_disjoint] fact, uses no atomics,
+    reaches global memory only through launch-constant handles, stores
+    through distinct handles and never loads a handle it stores, runs each
+    CTA on the {e batched} schedule: the running threads at the lowest pc
+    execute each block together, one loop over the batch per instruction
+    (a batch of one runs the single-thread closures). A branch splits a
+    batch by target; threads merge when their pcs meet; barriers release
+    as above. A block entry adds the batch size to its count, so [Stats]
+    and the profile are unchanged. This reorders the instructions of
+    different threads between two barriers, which nothing can observe:
+    registers are per thread, the gate certified shared memory race-free
+    and global stores disjoint across threads, and no thread loads a
+    buffer any thread stores. A batched CTA logs the old word of every
+    global store; if it faults, or meets a block its remaining budget slice
+    does not cover, its stores are undone and it re-runs per-thread with a
+    fresh slice, raising exactly the per-thread fault, after exactly its
+    partial writes. Other launches run per-thread.
 
     Determinism: given the same memory contents and parameters the
     interpreter is fully deterministic, and the parallel schedule returns
@@ -33,7 +53,7 @@
     per-worker block counts are summed, which is order-independent. Global
     atomics take a mutex-striped path under [jobs > 1]; registers and
     shared memory are CTA-private and stay lock-free. See DESIGN.md
-    "Parallel simulation". *)
+    "Parallel simulation" and "Thread-batched interpretation". *)
 
 exception Runtime_error of Fault.t
 (** Raised on traps, out-of-bounds accesses, division by zero, invalid
@@ -70,8 +90,10 @@ val run :
     per-CTA checkpoints on every worker; a fired token aborts the launch
     with its stored fault within one CTA. [trace] (default [Trace.none])
     adds wall-clock-only Worker-lane spans around each worker's CTA chunk
-    when the tracer records events and has a wall clock; the simulated
-    timeline is untouched (the executor owns the launch span). *)
+    when the tracer records events and has a wall clock, closed with the
+    worker's [batched] CTA count and [mean_batch], its threads per block
+    execution on the batched schedule; the simulated timeline is
+    untouched (the executor owns the launch span). *)
 
 val with_launch_observer :
   (Memory.t -> Kir.kernel -> params:int array -> grid:int -> cta:int -> unit) ->

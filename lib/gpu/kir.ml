@@ -71,6 +71,7 @@ type kernel = {
   body : instr array;
   labels : int array;
   prov : int list array;
+  stores_disjoint : bool;
 }
 
 let special_regs = 4

@@ -103,6 +103,13 @@ type kernel = {
           [body]; optimizer passes preserve the alignment (DCE compacts,
           folding unions). May be shorter than [body] for hand-built
           kernels — read through {!prov_at}. *)
+  stores_disjoint : bool;
+      (** the kernel passed the static-analysis gate, which certified that
+          no two threads of one CTA store to the same global word between
+          two barriers. Set by the runtime after the gate, [false]
+          everywhere else. A kernel that passed the gate reads no register
+          before writing it and has no shared-memory race. The
+          interpreter batches threads only in kernels that carry it. *)
 }
 
 val special_regs : int

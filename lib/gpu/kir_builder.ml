@@ -193,4 +193,5 @@ let finish ?regs_per_thread b =
     body;
     labels;
     prov;
+    stores_disjoint = false;
   }

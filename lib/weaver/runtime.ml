@@ -642,10 +642,14 @@ let certify st ?op ks =
   let o = Optimizer.optimize st.run.program.opt in
   List.map
     (fun (k, regions) ->
-      if (config st).Config.analyze then begin
+      (* -O3 deletes loads and dead code but never a store, an atomic or a
+         barrier, so the gate's store fact holds for the optimized kernel *)
+      let stores_disjoint =
+        (config st).Config.analyze
+        &&
         let report = analyze_kernel ~regions ~trace:st.run.trace k in
         match Weaver_analysis.Analysis.gating report with
-        | [] -> ()
+        | [] -> report.Weaver_analysis.Analysis.stores_disjoint
         | d :: _ as ds ->
             raise
               (Fault.Error
@@ -655,8 +659,8 @@ let certify st ?op ks =
                       count = List.length ds;
                       first = Weaver_analysis.Diag.to_string d;
                     }))
-      end;
-      let k = o k in
+      in
+      let k = { (o k) with Kir.stores_disjoint } in
       match op with Some op -> Kir.retag [ op ] k | None -> k)
     ks
 

@@ -16,6 +16,7 @@ let raw_kernel ?(reg_count = 8) ?(shared_words = 0) ?(labels = [||]) body =
     body;
     labels;
     prov = Kir.no_prov;
+    stores_disjoint = false;
   }
 
 let contains s needle =
@@ -324,6 +325,75 @@ let test_certificate_within_budget () =
     "shared footprint within declaration" true
     (c.Weaver_analysis.Resources.max_shared_addr < k.Kir.shared_words)
 
+(* ---- the global-store fact ---- *)
+
+let stores_disjoint k =
+  (Weaver.Runtime.analyze_kernel k).Weaver_analysis.Analysis.stores_disjoint
+
+(* [out[idx tid] := tid] with one parameter [out]; [loop] wraps the store
+   in a uniform, barrier-free loop [for i in 0 .. 4] whose variable the
+   index may use. *)
+let store_kernel ?(loop = false) idx =
+  let b = Kir_builder.create ~name:"stores" ~params:1 () in
+  let open Kir_builder in
+  let store i =
+    st b Kir.Global ~base:(param b 0) ~idx:(idx b i) ~src:tid ~width:4
+  in
+  if loop then
+    for_range b ~start:(Kir.Imm 0) ~stop:(Kir.Imm 4) ~step:(Kir.Imm 1)
+      (fun i -> store (Some (Kir.Reg i)))
+  else store None;
+  finish b
+
+let test_stores_disjoint () =
+  let open Kir_builder in
+  let case what want ?loop idx =
+    Alcotest.(check bool) what want (stores_disjoint (store_kernel ?loop idx))
+  in
+  case "every thread stores word 0" false (fun _ _ -> Kir.Imm 0);
+  case "word tid" true (fun _ _ -> tid);
+  (* the rule for a uniform additive term: [ctaid * 128 + tid] keeps the
+     class of [tid] *)
+  case "word ctaid*128 + tid" true (fun b _ ->
+      let base = bin b Kir.Mul ctaid (Kir.Imm 128) in
+      Kir.Reg (bin b Kir.Add (Kir.Reg base) tid));
+  (* a uniform loop variable is not a fixed term: without a barrier in
+     the loop, thread 1 in iteration 0 and thread 0 in iteration 1 both
+     store word 1 *)
+  case "word i + tid in a barrier-free loop" false ~loop:true (fun b i ->
+      Kir.Reg (bin b Kir.Add (Option.get i) tid))
+
+(* Every launch of more than one thread per CTA in the 8 goldens carries
+   the gate's store fact: the runtime certified its kernel as free of
+   same-CTA global write-write races. *)
+let test_golden_launches_disjoint () =
+  let check what plan bases =
+    let program = Weaver.Driver.compile plan in
+    let launches = ref 0 in
+    Interp.with_launch_observer
+      (fun _ k ~params:_ ~grid:_ ~cta ->
+        if cta > 1 then begin
+          incr launches;
+          if not k.Kir.stores_disjoint then
+            Alcotest.failf "%s/%s: launched without the store fact" what
+              k.Kir.kname
+        end)
+      (fun () ->
+        ignore
+          (Weaver.Runtime.run program bases ~mode:Weaver.Runtime.Resident));
+    Alcotest.(check bool) (what ^ " launched") true (!launches > 0)
+  in
+  List.iter
+    (fun (w : Tpch.Patterns.workload) ->
+      check w.Tpch.Patterns.name w.Tpch.Patterns.plan
+        (w.Tpch.Patterns.gen ~seed:5 ~rows:400))
+    (Tpch.Patterns.all () @ [ Tpch.Patterns.pattern_ab () ]);
+  let db = Tpch.Datagen.generate ~seed:5 ~lineitems:400 in
+  List.iter
+    (fun (q : Tpch.Queries.query) ->
+      check q.Tpch.Queries.qname q.Tpch.Queries.plan (q.Tpch.Queries.bind db))
+    [ Tpch.Queries.q1; Tpch.Queries.q21 ]
+
 let prop_gate_clean =
   QCheck.Test.make ~name:"woven random plans pass the gate" ~count:40
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
@@ -372,5 +442,8 @@ let suite =
       test_analyze_matches_gate;
     Alcotest.test_case "certificate within budgets" `Quick
       test_certificate_within_budget;
+    Alcotest.test_case "global store fact" `Quick test_stores_disjoint;
+    Alcotest.test_case "golden launches carry the store fact" `Quick
+      test_golden_launches_disjoint;
     QCheck_alcotest.to_alcotest prop_gate_clean;
   ]

@@ -214,6 +214,7 @@ let no_exit_loop () =
       |];
     labels = [| 4; 7 |];
     prov = Kir.no_prov;
+    stores_disjoint = false;
   }
 
 let test_hand_built () =

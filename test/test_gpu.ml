@@ -175,6 +175,7 @@ let test_validate () =
       body = [| Kir.Br 0; Kir.Ret |];
       labels = [| 99 |];
       prov = Kir.no_prov;
+      stores_disjoint = false;
     }
   in
   (match Kir_validate.check bad with
