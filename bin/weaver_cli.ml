@@ -130,7 +130,7 @@ let faults_arg =
   Arg.(value & opt (some string) None
        & info [ "faults" ] ~docv:"SPEC"
            ~doc:"Fault-injection schedule for the simulated device, e.g. \
-                 $(b,alloc\\@2,launch\\@4) or $(b,seed\\@7x3) (see \
+                 $(b,alloc@2,launch@4) or $(b,seed@7x3) (see \
                  Gpu_sim.Fault_inject). Overrides the WEAVER_FAULTS \
                  environment variable.")
 

@@ -112,7 +112,7 @@ let compile ?(config = Config.default) ?(fuse = true) ?(opt = Optimizer.O3)
   in
   let barrier_units = List.map (barrier_unit plan) (Candidates.barriers plan) in
   let units = topo_units (fused_units @ barrier_units) in
-  { Runtime.plan; config; opt; units; groups }
+  { Runtime.plan; config; opt; units; groups; memo = Runtime.memo () }
 
 let run = Runtime.run
 
