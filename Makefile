@@ -12,9 +12,8 @@ test:
 
 # Quick end-to-end smoke: reduced-size paper experiments and ablations,
 # then the bechamel micro-benchmarks (including the jobs=1 vs jobs=N pair
-# and the recorder-only and full tracer runs). --jobs 0 = auto, so the
-# WEAVER_JOBS environment variable (the CI matrix axis) picks the worker
-# count.
+# and the recorder-only, full tracer and attribution runs). --jobs 0 =
+# one worker per recommended core.
 bench-smoke: build
 	dune exec bench/main.exe -- --jobs 0 --json _build/bench-quick.json quick
 

@@ -25,20 +25,6 @@ let json_rows : (string * string * float) list ref = ref []
 let record ~experiment ~metric value =
   json_rows := (experiment, metric, value) :: !json_rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json path =
   let oc = open_out path in
   output_string oc "[\n";
@@ -47,7 +33,9 @@ let write_json path =
     (fun i (experiment, metric, value) ->
       Printf.fprintf oc
         "  {\"experiment\": \"%s\", \"metric\": \"%s\", \"value\": %.17g}%s\n"
-        (json_escape experiment) (json_escape metric) value
+        (Weaver_obs.Json.escape experiment)
+        (Weaver_obs.Json.escape metric)
+        value
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "]\n";
@@ -187,6 +175,11 @@ let bechamel_suite ~jobs () =
         pattern_test (Tpch.Patterns.pattern_a ()) ~rows:100_000 ~config:seq
           ~trace:(fun () -> Weaver_obs.Trace.create ())
           ~label:"pattern-a-jobs1-traced";
+        (* the same run with the attribution ledger on (budgeted at <2%
+           over pattern-a-jobs1) *)
+        pattern_test (Tpch.Patterns.pattern_a ()) ~rows:100_000
+          ~config:{ seq with attrib = true }
+          ~label:"pattern-a-jobs1-attrib";
         compile_test;
         optimize_test;
         replay_test;

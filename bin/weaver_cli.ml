@@ -405,7 +405,7 @@ let bench_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT"
            ~doc:
              "table2 fig4 fig16 fig17 fig18 fig19 fig20 fig21 table3 q1 q21 \
-              analysis attrib")
+              analysis")
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced problem sizes")
@@ -429,6 +429,36 @@ let bench_cmd =
     (Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures")
     Term.(ret (const run $ names_arg $ quick_arg $ jobs_arg))
 
+(* --- golden workloads -------------------------------------------------------
+   The fusion-pattern goldens plus the two TPC-H queries, each with its
+   input generator: analyze reads the plans, trace and explain run them. *)
+
+let golden_workloads name =
+  let pat (w : Tpch.Patterns.workload) =
+    [ (w.name, w.plan, fun ~rows ~seed -> w.gen ~seed ~rows) ]
+  in
+  let query (q : Tpch.Queries.query) =
+    let gen ~rows ~seed =
+      q.bind (Tpch.Datagen.generate ~seed ~lineitems:rows)
+    in
+    [ (q.qname, q.plan, gen) ]
+  in
+  match name with
+  | "a" -> Some (pat (Tpch.Patterns.pattern_a ()))
+  | "b" -> Some (pat (Tpch.Patterns.pattern_b ()))
+  | "c" -> Some (pat (Tpch.Patterns.pattern_c ()))
+  | "d" -> Some (pat (Tpch.Patterns.pattern_d ()))
+  | "e" -> Some (pat (Tpch.Patterns.pattern_e ()))
+  | "ab" -> Some (pat (Tpch.Patterns.pattern_ab ()))
+  | "q1" -> Some (query Tpch.Queries.q1)
+  | "q21" -> Some (query Tpch.Queries.q21)
+  | "all" ->
+      Some
+        (List.concat_map pat
+           (Tpch.Patterns.all () @ [ Tpch.Patterns.pattern_ab () ])
+        @ query Tpch.Queries.q1 @ query Tpch.Queries.q21)
+  | _ -> None
+
 (* --- analyze ---------------------------------------------------------------- *)
 
 let analyze_cmd =
@@ -438,32 +468,13 @@ let analyze_cmd =
                  $(b,a b c d e ab q1 q21), or $(b,all) for the whole golden \
                  set (the default)")
   in
-  let builtin name =
-    let pat w = [ (w.Tpch.Patterns.name, w.Tpch.Patterns.plan) ] in
-    let query (q : Tpch.Queries.query) = [ (q.qname, q.plan) ] in
-    match name with
-    | "a" -> Some (pat (Tpch.Patterns.pattern_a ()))
-    | "b" -> Some (pat (Tpch.Patterns.pattern_b ()))
-    | "c" -> Some (pat (Tpch.Patterns.pattern_c ()))
-    | "d" -> Some (pat (Tpch.Patterns.pattern_d ()))
-    | "e" -> Some (pat (Tpch.Patterns.pattern_e ()))
-    | "ab" -> Some (pat (Tpch.Patterns.pattern_ab ()))
-    | "q1" -> Some (query Tpch.Queries.q1)
-    | "q21" -> Some (query Tpch.Queries.q21)
-    | "all" ->
-        Some
-          (List.concat_map pat
-             (Tpch.Patterns.all () @ [ Tpch.Patterns.pattern_ab () ])
-          @ query Tpch.Queries.q1 @ query Tpch.Queries.q21)
-    | _ -> None
-  in
   let run targets no_fuse =
     guard (fun () ->
         let plans =
           List.concat_map
             (fun t ->
-              match builtin t with
-              | Some ps -> ps
+              match golden_workloads t with
+              | Some ws -> List.map (fun (name, plan, _) -> (name, plan)) ws
               | None when Sys.file_exists t ->
                   [ (Filename.basename t, (compile_query t).Datalog.plan) ]
               | None ->
@@ -509,40 +520,12 @@ let analyze_cmd =
           kernel and print JSON diagnostics; exits 1 on any error or warning")
     Term.(ret (const run $ targets_arg $ fuse_arg))
 
-(* --- golden workloads -------------------------------------------------------
-   Shared by trace and explain: built-in data-carrying workloads (the
-   fusion-pattern goldens plus the two TPC-H queries). *)
-
-let golden_workloads ~rows ~seed name =
-  let pat (w : Tpch.Patterns.workload) =
-    [ (w.Tpch.Patterns.name, w.Tpch.Patterns.plan,
-       w.Tpch.Patterns.gen ~seed ~rows) ]
-  in
-  let query (q : Tpch.Queries.query) =
-    let db = Tpch.Datagen.generate ~seed ~lineitems:rows in
-    [ (q.Tpch.Queries.qname, q.Tpch.Queries.plan, q.Tpch.Queries.bind db) ]
-  in
-  match name with
-  | "a" -> Some (pat (Tpch.Patterns.pattern_a ()))
-  | "b" -> Some (pat (Tpch.Patterns.pattern_b ()))
-  | "c" -> Some (pat (Tpch.Patterns.pattern_c ()))
-  | "d" -> Some (pat (Tpch.Patterns.pattern_d ()))
-  | "e" -> Some (pat (Tpch.Patterns.pattern_e ()))
-  | "ab" -> Some (pat (Tpch.Patterns.pattern_ab ()))
-  | "q1" -> Some (query Tpch.Queries.q1)
-  | "q21" -> Some (query Tpch.Queries.q21)
-  | "all" ->
-      Some
-        (List.concat_map pat
-           (Tpch.Patterns.all () @ [ Tpch.Patterns.pattern_ab () ])
-        @ query Tpch.Queries.q1 @ query Tpch.Queries.q21)
-  | _ -> None
-
 let resolve_workloads ~rows ~seed ~inputs targets =
   List.concat_map
     (fun t ->
-      match golden_workloads ~rows ~seed t with
-      | Some ws -> ws
+      match golden_workloads t with
+      | Some ws ->
+          List.map (fun (name, plan, gen) -> (name, plan, gen ~rows ~seed)) ws
       | None when Sys.file_exists t ->
           let q = compile_query t in
           let named = bind_data q ~rows ~seed inputs in
@@ -562,21 +545,7 @@ let resolve_workloads ~rows ~seed ~inputs targets =
    plus the fusion counterfactual (what materializing each fused group's
    internal edges would have cost). *)
 
-let json_str s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_str s = "\"" ^ Weaver_obs.Json.escape s ^ "\""
 
 let explain_cmd =
   let module A = Weaver_obs.Attrib in

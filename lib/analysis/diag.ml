@@ -18,20 +18,6 @@ let compare a b =
 let to_string d =
   Printf.sprintf "[%s] %s@%d: %s" (severity_name d.severity) d.pass d.at d.message
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   Printf.sprintf {|{"severity": "%s", "pass": "%s", "at": %d, "message": "%s"}|}
-    (severity_name d.severity) d.pass d.at (json_escape d.message)
+    (severity_name d.severity) d.pass d.at (Weaver_obs.Json.escape d.message)

@@ -30,17 +30,6 @@ let ensure_workers n =
 
 let max_jobs = 64
 
-let default_jobs () =
-  let recommended =
-    max 1 (min max_jobs (Domain.recommended_domain_count ()))
-  in
-  match Sys.getenv_opt "WEAVER_JOBS" with
-  | None -> recommended
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> min max_jobs n
-      | _ -> recommended)
-
 let run ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) ~jobs f =
   Cancel.check cancel;
   (* Per-worker wall-clock debug spans. They are inherently

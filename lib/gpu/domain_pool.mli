@@ -5,10 +5,6 @@
     push and a condition broadcast, not a domain spawn. The pool grows to
     the largest [jobs] ever requested (capped at 64 workers). *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], overridable with the
-    [WEAVER_JOBS] environment variable. Always at least 1. *)
-
 val run :
   ?cancel:Cancel.t ->
   ?trace:Weaver_obs.Trace.t ->

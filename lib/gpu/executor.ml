@@ -81,7 +81,7 @@ let attrib_sample ?(timing = Timing.default_params) (k : Kir.kernel) counts =
       | ops ->
           let nops = List.length ops in
           let wf = w /. float_of_int nops in
-          let split q i = (q / nops) + if i < q mod nops then 1 else 0 in
+          let split = A.even_share ~parts:nops in
           List.iteri
             (fun i op ->
               let a = acc op in
@@ -127,7 +127,7 @@ let hot_args (k : Kir.kernel) counts =
         T.Str (Format.asprintf "%dx pc%d %a" c i Kir.pp_instr k.Kir.body.(i)) ))
     (take 3 sorted)
 
-let launch ?timing ?max_instructions ?jobs ?(faults = Fault_inject.none)
+let launch ?timing ?jobs ?(faults = Fault_inject.none)
     ?(cancel = Cancel.none) ?(trace = T.none) ?(attrib = false) device mem
     (k : Kir.kernel) ~params ~grid ~cta =
   (match
@@ -160,7 +160,7 @@ let launch ?timing ?max_instructions ?jobs ?(faults = Fault_inject.none)
       else None
     in
     let stats =
-      Interp.run ?max_instructions ?jobs ?profile ~cancel ~trace mem k ~params
+      Interp.run ?jobs ?profile ~cancel ~trace mem k ~params
         ~grid ~cta
     in
     let occupancy =

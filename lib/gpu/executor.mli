@@ -30,7 +30,6 @@ val attrib_sample :
 
 val launch :
   ?timing:Timing.params ->
-  ?max_instructions:int ->
   ?jobs:int ->
   ?faults:Fault_inject.t ->
   ?cancel:Cancel.t ->

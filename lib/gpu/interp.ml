@@ -58,13 +58,6 @@ let exec_atomop op old v =
   | Atom_max -> max old v
   | Atom_exch -> v
 
-(* Lock stripes serializing concurrent global atomics. CTAs only contend on
-   the same word, and only through Atom, so a small striped set keeps the
-   read-modify-write sequences of different words mostly independent. *)
-let n_stripes = 64
-let atom_stripes = Array.init n_stripes (fun _ -> Mutex.create ())
-let stripe_of ~buf ~idx = ((buf * 131) + idx) land (n_stripes - 1)
-
 (* A batched CTA's remaining budget slice does not cover its next block:
    the CTA re-runs per-thread (see [run]). *)
 exception Unbatch
@@ -73,36 +66,6 @@ exception Unbatch
 let st_running = 0
 let st_at_bar = 1
 let st_done = 2
-
-(* Two-entry MRU cache of buffer handle -> backing array, one per worker so
-   parallel workers never share it and ping-ponging between two handles
-   (e.g. a load loop alternating input and staging buffers) stays hits.
-   Only accesses whose base is not a launch constant go through it. *)
-let make_buffer_cache mem (k : Kir.kernel) =
-  let id0 = ref (-1) and arr0 = ref [||] in
-  let id1 = ref (-1) and arr1 = ref [||] in
-  fun id ->
-    if id = !id0 then !arr0
-    else if id = !id1 then begin
-      let a = !arr1 in
-      id1 := !id0;
-      arr1 := !arr0;
-      id0 := id;
-      arr0 := a;
-      a
-    end
-    else begin
-      let arr =
-        try Memory.data mem id
-        with Not_found | Invalid_argument _ ->
-          Fault.raise_ (Fault.Invalid_handle { kernel = k.kname; handle = id })
-      in
-      id1 := !id0;
-      arr1 := !arr0;
-      id0 := id;
-      arr0 := arr;
-      arr
-    end
 
 (* ---- basic blocks ------------------------------------------------------- *)
 
@@ -332,19 +295,18 @@ let rollback u =
 
 (* Compile [k]'s blocks for one worker: [regs] is that worker's register
    file (register-major: [regs.(r).(tid)]), [pcs] its threads' pcs,
-   [shared] its shared memory, [buffer_data] its handle cache, [undo] its
-   store log, and [locked] selects the mutex-striped path for global
-   atomics. Operands are resolved here once: registers are range-checked
-   against the register file and bound to their per-thread arrays,
-   launch-constant registers folded, and a global access whose base folds
-   to a live buffer handle binds that buffer's backing array.
+   [shared] its shared memory and [undo] its store log. Operands are
+   resolved here once: registers are range-checked against the register
+   file and bound to their per-thread arrays, launch-constant registers
+   folded, and a global access whose base folds to a live buffer handle
+   binds that buffer's backing array.
 
    Every instruction gets a single-thread closure. The batch closure of a
    shape the single-thread compiler specialises is a hand-written loop
    over the batch; any other shape runs its single-thread closure per
    thread. *)
 let compile (k : Kir.kernel) (lay : layout) (in_range, src) ~mem ~shared
-    ~regs ~pcs ~undo ~buffer_data ~locked =
+    ~regs ~pcs ~undo =
   let kname = k.kname in
   let body = k.body in
   let n = Array.length body in
@@ -385,6 +347,12 @@ let compile (k : Kir.kernel) (lay : layout) (in_range, src) ~mem ~shared
     match Memory.data mem h with
     | arr -> Some arr
     | exception (Not_found | Invalid_argument _) -> None
+  in
+  (* the backing array of a handle computed at run time *)
+  let buffer_data h =
+    match bound h with
+    | Some arr -> arr
+    | None -> Fault.raise_ (Fault.Invalid_handle { kernel = kname; handle = h })
   in
   (* the undo-log slot of a stored buffer *)
   let slots = ref [] in
@@ -746,21 +714,8 @@ let compile (k : Kir.kernel) (lay : layout) (in_range, src) ~mem ~shared
             let i = idx t in
             if i < 0 || i >= Array.length arr then
               oob_global h i (Array.length arr);
-            let old =
-              if locked then begin
-                let m = atom_stripes.(stripe_of ~buf:h ~idx:i) in
-                Mutex.lock m;
-                let old = get arr i in
-                set arr i (f old (v t));
-                Mutex.unlock m;
-                old
-              end
-              else begin
-                let old = get arr i in
-                set arr i (f old (v t));
-                old
-              end
-            in
+            let old = get arr i in
+            set arr i (f old (v t));
             set rd t old)
   in
   (* [add t, x, K] followed by an access indexed by [t], as one closure
@@ -1093,17 +1048,14 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
      so the interpreter does not churn the GC with per-CTA allocation; the
      blocks compiled against that state; and the worker's block entry
      counts. *)
-  let make_worker ~locked =
+  let make_worker () =
     let shared = Array.make (max k.shared_words 1) 0 in
     let nregs = max k.reg_count 1 in
     let regs = Array.init nregs (fun _ -> Array.make cta 0) in
     let pcs = Array.make cta 0 in
     let status = Array.make cta st_running in
     let undo = undo_create () in
-    let blocks =
-      compile k lay operands ~mem ~shared ~regs ~pcs ~undo
-        ~buffer_data:(make_buffer_cache mem k) ~locked
-    in
+    let blocks = compile k lay operands ~mem ~shared ~regs ~pcs ~undo in
     let counts = Array.make (max n_blocks 1) 0 in
     let budget = ref budget_slice in
     let live = ref cta in
@@ -1380,80 +1332,68 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
   (* faults raised below the launch boundary (e.g. Div_by_zero from a
      division) carry an empty kernel field; name them here *)
   let named f = Fault.Error (Fault.set_kernel k.kname f) in
-  let jobs = max 1 (min jobs grid) in
-  if jobs = 1 then begin
-    let counts = ref [||] in
-    (* routed through the pool's sequential shortcut (it runs the body on
-       this domain) so the worker-0 wall lane exists at any jobs count *)
-    Domain_pool.run ~cancel ~trace ~jobs:1 (fun _ ->
-        let exec_cta, c, args = make_worker ~locked:false in
-        try
-          for ctaid = 0 to grid - 1 do
-            (* same checkpoint cadence as the per-CTA budget slice: a fired
-               token stops the launch before the next CTA starts *)
-            Cancel.check cancel;
-            exec_cta ctaid
-          done;
-          counts := c;
-          args ()
-        with Fault.Error f -> raise (named f));
-    finish !counts
-  end
-  else begin
-    (* Workers allocate their state on their own domain, publishing the
-       counts here only on completion: counters created by the main domain
-       would sit on adjacent cache lines and every block entry would
-       false-share them. *)
-    let worker_counts = Array.make jobs [||] in
-    (* chunked self-scheduling over the CTA index space *)
-    let next = Atomic.make 0 in
-    let chunk = max 1 (grid / (jobs * 8)) in
-    (* A CTA that faults stops the launch; record the fault of the lowest
-       ctaid so the surfaced error (and any capacity-retry decision made on
-       its message) is identical to the sequential schedule's. *)
-    let first_error = Atomic.make None in
-    let record_error ctaid e =
-      let rec cas () =
-        let cur = Atomic.get first_error in
-        let keep =
-          match cur with None -> true | Some (c, _) -> ctaid < c
-        in
-        if keep && not (Atomic.compare_and_set first_error cur (Some (ctaid, e)))
-        then cas ()
-      in
-      cas ()
+  (* A global atomic's old value can depend on the order in which CTAs
+     reach it, so a launch whose kernel has one runs on one worker, in
+     CTA index order. *)
+  let jobs =
+    if
+      Array.exists
+        (function Kir.Atom { space = Global; _ } -> true | _ -> false)
+        k.body
+    then 1
+    else max 1 (min jobs grid)
+  in
+  (* Workers allocate their state on their own domain, publishing the
+     counts here only on completion: counters created by the main domain
+     would sit on adjacent cache lines and every block entry would
+     false-share them. *)
+  let worker_counts = Array.make jobs [||] in
+  (* chunked self-scheduling over the CTA index space *)
+  let next = Atomic.make 0 in
+  let chunk = max 1 (grid / (jobs * 8)) in
+  (* A CTA that faults stops the launch; record the fault of the lowest
+     ctaid so the surfaced error (and any capacity-retry decision made on
+     its message) is the same at every worker count. *)
+  let first_error = Atomic.make None in
+  let record_error ctaid e =
+    let rec cas () =
+      let cur = Atomic.get first_error in
+      let keep = match cur with None -> true | Some (c, _) -> ctaid < c in
+      if keep && not (Atomic.compare_and_set first_error cur (Some (ctaid, e)))
+      then cas ()
     in
-    Domain_pool.run ~cancel ~trace ~jobs (fun w ->
-        let exec_cta, counts, args = make_worker ~locked:true in
-        let rec loop () =
-          if Atomic.get first_error = None then begin
-            let start = Atomic.fetch_and_add next chunk in
-            if start < grid then begin
-              let stop = min grid (start + chunk) in
-              (try
-                 for ctaid = start to stop - 1 do
-                   (* cancellation checkpoint: workers stop within one CTA
-                      of the token firing, mid-chunk included *)
-                   Cancel.check cancel;
-                   exec_cta ctaid
-                 done
-               with e -> record_error start e);
-              loop ()
-            end
+    cas ()
+  in
+  Domain_pool.run ~cancel ~trace ~jobs (fun w ->
+      let exec_cta, counts, args = make_worker () in
+      let rec loop () =
+        if Atomic.get first_error = None then begin
+          let start = Atomic.fetch_and_add next chunk in
+          if start < grid then begin
+            let stop = min grid (start + chunk) in
+            (try
+               for ctaid = start to stop - 1 do
+                 (* cancellation checkpoint: workers stop within one CTA
+                    of the token firing, mid-chunk included *)
+                 Cancel.check cancel;
+                 exec_cta ctaid
+               done
+             with e -> record_error start e);
+            loop ()
           end
-        in
-        loop ();
-        worker_counts.(w) <- counts;
-        args ());
-    match Atomic.get first_error with
-    | Some (_, Fault.Error f) -> raise (named f)
-    | Some (_, e) -> raise e
-    | None ->
-        (* every count is a sum of per-CTA contributions, so the merge is
-           independent of which worker executed which CTA *)
-        let counts = Array.make (max n_blocks 1) 0 in
-        Array.iter
-          (Array.iteri (fun b c -> counts.(b) <- counts.(b) + c))
-          worker_counts;
-        finish counts
-  end
+        end
+      in
+      loop ();
+      worker_counts.(w) <- counts;
+      args ());
+  match Atomic.get first_error with
+  | Some (_, Fault.Error f) -> raise (named f)
+  | Some (_, e) -> raise e
+  | None ->
+      (* every count is a sum of per-CTA contributions, so the merge is
+         independent of which worker executed which CTA *)
+      let counts = Array.make (max n_blocks 1) 0 in
+      Array.iter
+        (Array.iteri (fun b c -> counts.(b) <- counts.(b) + c))
+        worker_counts;
+      finish counts

@@ -4,10 +4,9 @@
     sequentially until its next [Bar] (or [Ret]); once all live threads have
     arrived, execution resumes past the barrier. This is faithful to
     [__syncthreads] for the well-structured kernels the code generator
-    emits. CTAs execute independently (their relative order is
-    unobservable for correct CUDA programs; sequentially we run them in
-    index order, and with [jobs > 1] they are spread over a persistent
-    {!Domain_pool} in chunked self-scheduled fashion).
+    emits. CTAs execute independently: the workers of a persistent
+    {!Domain_pool} (one at [jobs = 1]) claim them in chunks of
+    consecutive indices off one shared counter.
 
     Execution is {e block-compiled}: at each launch, once per worker, the
     body is split into basic blocks (a block starts at pc 0, at every label
@@ -45,14 +44,14 @@
     fresh slice, raising exactly the per-thread fault, after exactly its
     partial writes. Other launches run per-thread.
 
-    Determinism: given the same memory contents and parameters the
-    interpreter is fully deterministic, and the parallel schedule returns
-    bit-identical results, stats and profiles to the sequential one — CTAs
-    touch disjoint global regions except through atomics (which are
-    commutative for the operations the code generator uses), and
-    per-worker block counts are summed, which is order-independent. Global
-    atomics take a mutex-striped path under [jobs > 1]; registers and
-    shared memory are CTA-private and stay lock-free. See DESIGN.md
+    Determinism: given the same memory contents and parameters, a launch
+    returns bit-identical results, stats and profiles at every [jobs].
+    Registers and shared memory are CTA-private; the code generator's
+    skeletons give every CTA a disjoint output slice and emit no global
+    atomics; per-worker block counts are summed, which is
+    order-independent. A global atomic's old value can depend on the
+    order in which CTAs reach it, so a launch whose kernel contains a
+    global [Atom] runs on one worker, in CTA index order. See DESIGN.md
     "Parallel simulation" and "Thread-batched interpretation". *)
 
 exception Runtime_error of Fault.t
@@ -84,9 +83,9 @@ val run :
     completes (the executor's launch spans name their three hottest pcs
     from it); a faulting launch leaves it untouched.
     [jobs] (default 1) is the number of worker domains executing CTAs;
-    it is clamped to [grid]. When a parallel run faults, the error of the
-    lowest faulting CTA index is surfaced — the same error a sequential
-    run would raise. [cancel] (default {!Cancel.none}) is polled at the
+    it is clamped to [grid], and is 1 for a kernel with a global [Atom].
+    When a launch faults, the error of the lowest faulting CTA index is
+    surfaced, at every [jobs]. [cancel] (default {!Cancel.none}) is polled at the
     per-CTA checkpoints on every worker; a fired token aborts the launch
     with its stored fault within one CTA. [trace] (default [Trace.none])
     adds wall-clock-only Worker-lane spans around each worker's CTA chunk

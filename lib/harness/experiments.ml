@@ -540,149 +540,6 @@ let analysis () =
       ];
   }
 
-(* --- operator-level cost attribution ------------------------------------- *)
-
-let attrib ?(rows = 60_000) ?(lineitems = 10_000) ?(jobs = 1) () =
-  let module A = Weaver_obs.Attrib in
-  let module M = Weaver.Metrics in
-  let storm = "rseed@11,alloc%0.1,launch%0.1,transfer%0.1" in
-  let workloads =
-    List.map
-      (fun (w : Tpch.Patterns.workload) ->
-        ( w.Tpch.Patterns.name,
-          w.Tpch.Patterns.plan,
-          w.Tpch.Patterns.gen ~seed:16 ~rows,
-          base_config ~jobs ))
-      (Tpch.Patterns.all () @ [ Tpch.Patterns.pattern_ab () ])
-    @
-    let db = Tpch.Datagen.generate ~seed:21 ~lineitems in
-    List.map
-      (fun ((q : Tpch.Queries.query), cfg) ->
-        (q.Tpch.Queries.qname, q.Tpch.Queries.plan, q.Tpch.Queries.bind db, cfg))
-      [
-        (Tpch.Queries.q1, base_config ~jobs);
-        ( Tpch.Queries.q21,
-          { (base_config ~jobs) with Weaver.Config.join_expansion = 4 } );
-      ]
-  in
-  (* Faulted runs may end in a partial result; the conservation law must
-     hold on whatever ledger was accumulated up to the failure point. *)
-  let run ?faults ?(jobs_override = jobs) config plan bases =
-    let config = Weaver.Config.with_jobs config jobs_override in
-    let config = { config with Weaver.Config.attrib = true; faults } in
-    let program = Weaver.Driver.compile ~config plan in
-    match
-      Weaver.Runtime.run_result program bases ~mode:Weaver.Runtime.Resident
-    with
-    | Ok r -> r.Weaver.Runtime.metrics
-    | Error f -> f.Weaver.Runtime.partial
-  in
-  let conserved (m : M.t) =
-    let a = M.attribution m in
-    A.conserved a && A.fold_cycles a = m.M.kernel_cycles
-  in
-  let per =
-    List.map
-      (fun (name, plan, bases, cfg) ->
-        let m1 = run cfg plan bases in
-        let ok1 = conserved m1 in
-        (* bit-stability: the ledger's integer rows must not depend on the
-           harness worker count *)
-        let m4 = run ~jobs_override:4 cfg plan bases in
-        let stable =
-          A.rows (M.attribution m1) = A.rows (M.attribution m4)
-          && m1.M.kernel_cycles = m4.M.kernel_cycles
-        in
-        let ms = run ~faults:storm cfg plan bases in
-        let storm_ok = conserved ms in
-        let ops =
-          List.length
-            (List.filter
-               (fun (r : A.row) -> r.A.op <> A.overhead_op)
-               (A.rows (M.attribution m1)))
-        in
-        let avoided_bytes =
-          List.fold_left
-            (fun acc (c : A.counterfactual) -> acc + c.A.cf_bytes)
-            0 m1.M.counterfactuals
-        in
-        let avoided_rt =
-          List.fold_left
-            (fun acc (c : A.counterfactual) -> acc + c.A.cf_round_trips)
-            0 m1.M.counterfactuals
-        in
-        (name, ok1, stable, storm_ok, ops, avoided_bytes, avoided_rt))
-      workloads
-  in
-  (* Attribution must stay off the hot path: compare wall time of repeated
-     runs with the ledger off vs on (same program shape, same inputs). *)
-  let overhead_pct =
-    let w = Tpch.Patterns.pattern_a () in
-    let bases = w.Tpch.Patterns.gen ~seed:16 ~rows in
-    let time attrib =
-      let config = { (base_config ~jobs) with Weaver.Config.attrib } in
-      let program = Weaver.Driver.compile ~config w.Tpch.Patterns.plan in
-      let go () =
-        ignore (Weaver.Driver.run program bases ~mode:Weaver.Runtime.Resident)
-      in
-      go ();
-      let t0 = Sys.time () in
-      for _ = 1 to 3 do
-        go ()
-      done;
-      Sys.time () -. t0
-    in
-    let off = time false in
-    let on_ = time true in
-    if off > 0.0 then 100.0 *. (on_ -. off) /. off else 0.0
-  in
-  let violations =
-    List.fold_left
-      (fun acc (_, ok, stable, storm_ok, _, _, _) ->
-        acc + (if ok then 0 else 1) + (if stable then 0 else 1)
-        + if storm_ok then 0 else 1)
-      0 per
-  in
-  let yn b = if b then "yes" else "NO" in
-  {
-    Report.table =
-      {
-        title =
-          "Attribution — conservation, jobs-stability and fusion counterfactuals";
-        header =
-          [
-            "workload"; "conserved"; "jobs 1=4"; "storm"; "ops";
-            "avoided bytes"; "round trips";
-          ];
-        rows =
-          List.map
-            (fun (name, ok, stable, storm_ok, ops, bytes, rt) ->
-              [
-                name; yn ok; yn stable; yn storm_ok; string_of_int ops;
-                Report.bytes_human bytes; string_of_int rt;
-              ])
-            per;
-        notes =
-          [
-            "conserved: per-operator cycle sums equal total kernel cycles (exact)";
-            "jobs 1=4: ledger rows bit-identical across worker counts";
-            Printf.sprintf "storm: conservation under %s" storm;
-            "avoided bytes: intermediate traffic fusion saved (Fig. 18 accounting)";
-          ];
-      };
-    headline =
-      [ ("conservation violations", float_of_int violations) ]
-      @ List.map
-          (fun (name, _, _, _, _, bytes, _) ->
-            (name ^ " avoided intermediate bytes", float_of_int bytes))
-          per
-      @ List.map
-          (fun (name, _, _, _, _, _, rt) ->
-            (name ^ " avoided pcie round trips", float_of_int rt))
-          per
-      @ [ ("attrib wall overhead pct", overhead_pct) ];
-  }
-
 let all ?(quick = false) ?(jobs = 1) () =
   let s = if quick then [ 16_384; 32_768 ] else [ 65_536; 131_072; 262_144; 524_288 ] in
   let r = if quick then 30_000 else 200_000 in
@@ -701,11 +558,6 @@ let all ?(quick = false) ?(jobs = 1) () =
     ("q1", fun () -> q1 ~lineitems:li1 ~jobs ());
     ("q21", fun () -> q21 ~lineitems:li21 ~jobs ());
     ("analysis", fun () -> analysis ());
-    ( "attrib",
-      fun () ->
-        attrib
-          ~rows:(if quick then 20_000 else 60_000)
-          ~lineitems:li21 ~jobs () );
   ]
 
 let select ?quick ?jobs names =

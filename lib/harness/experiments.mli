@@ -55,16 +55,6 @@ val analysis : unit -> Report.outcome
     Q21): per-workload kernel/diagnostic counts and pass runtime. Pure
     compile + analyze; runs nothing on the device. *)
 
-val attrib : ?rows:int -> ?lineitems:int -> ?jobs:int -> unit -> Report.outcome
-(** Operator-level cost attribution over the golden set (patterns
-    (a)-(e), (ab), Q1, Q21): asserts the conservation law (per-operator
-    cycle sums equal total kernel cycles, exactly), bit-stability of the
-    ledger across [jobs] 1 vs 4, conservation under a seeded fault storm,
-    and tabulates the fusion counterfactual (intermediate bytes and PCIe
-    round-trips an unfused plan would have spent — Fig. 18 accounting).
-    Headlines carry per-workload avoided bytes plus the wall-clock
-    overhead of enabling attribution (budget: < 2%). *)
-
 val all : ?quick:bool -> ?jobs:int -> unit -> (string * (unit -> Report.outcome)) list
 (** Every experiment as a lazy thunk, keyed by its figure/table id —
     forcing one entry runs only that experiment. [quick] shrinks sizes

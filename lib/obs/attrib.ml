@@ -48,6 +48,8 @@ let zero_contrib =
 (* Per-launch evidence: (operator id, contribution), sorted by id. *)
 type sample = (int * contrib) list
 
+let even_share ~parts q i = (q / parts) + if i < q mod parts then 1 else 0
+
 type row = {
   op : int;
   mutable launches : int;

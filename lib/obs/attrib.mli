@@ -35,6 +35,12 @@ val zero_contrib : contrib
 type sample = (int * contrib) list
 (** One launch's per-operator evidence, sorted by operator id. *)
 
+val even_share : parts:int -> int -> int -> int
+(** [even_share ~parts q i] is the [i]th of [parts] even integer shares
+    of the count [q], remainders to the lowest [i]: the shares sum to [q].
+    An event count credited to several operators splits this way over
+    the sorted operator ids, so remainders go to the lowest ids. *)
+
 type row = {
   op : int;
   mutable launches : int;

@@ -22,22 +22,6 @@ let lane_ids = function
   | Trace.Attrib -> (sim_pid, 9)
   | Trace.Worker w -> (wall_pid, 1 + w)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* One canonical float rendering so exports compare byte-for-byte:
    integral values print without a fractional part. *)
 let num v =
@@ -47,23 +31,23 @@ let num v =
 let render_value = function
   | Trace.Int i -> string_of_int i
   | Trace.Float f -> num f
-  | Trace.Str s -> "\"" ^ json_escape s ^ "\""
+  | Trace.Str s -> "\"" ^ Json.escape s ^ "\""
 
 let render_args args =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> "\"" ^ json_escape k ^ "\":" ^ render_value v) args)
+      (List.map (fun (k, v) -> "\"" ^ Json.escape k ^ "\":" ^ render_value v) args)
   ^ "}"
 
 let meta_event ~pid ~tid ~what ~name =
   Printf.sprintf
     "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-    what pid tid (json_escape name)
+    what pid tid (Json.escape name)
 
 let event_json (e : Trace.event) =
   let pid, tid = lane_ids e.lane in
   let common = Printf.sprintf "\"pid\":%d,\"tid\":%d" pid tid in
-  let name = json_escape e.name in
+  let name = Json.escape e.name in
   let args = if e.args = [] then "" else ",\"args\":" ^ render_args e.args in
   match e.kind with
   | Trace.Span ->

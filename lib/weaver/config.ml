@@ -50,8 +50,7 @@ let default =
   }
 
 let with_jobs t jobs =
-  if jobs >= 1 then { t with jobs }
-  else { t with jobs = Gpu_sim.Domain_pool.default_jobs () }
+  { t with jobs = (if jobs >= 1 then jobs else Domain.recommended_domain_count ()) }
 
 let budget t =
   {

@@ -100,9 +100,9 @@ val default : t
     sequential interpretation ([jobs = 1]). *)
 
 val with_jobs : t -> int -> t
-(** [with_jobs t n] sets the CTA worker count; [n <= 0] means "auto"
-    ({!Gpu_sim.Domain_pool.default_jobs}, i.e. the machine's recommended
-    domain count unless [WEAVER_JOBS] overrides it). *)
+(** [with_jobs t n] sets the CTA worker count; [n <= 0] means "auto",
+    [Domain.recommended_domain_count ()]. Results do not depend on it
+    (see {!Gpu_sim.Interp.run}). *)
 
 val budget : t -> Qplan.Selection.budget
 (** Algorithm 2's resource budget: the device's register and per-CTA

@@ -276,8 +276,7 @@ let synth_report ?ops st name stats =
       | None | Some [] -> Some []
       | Some l ->
           let l = List.sort_uniq compare l in
-          let n = List.length l in
-          let split q i = (q / n) + if i < q mod n then 1 else 0 in
+          let split = Weaver_obs.Attrib.even_share ~parts:(List.length l) in
           Some
             (List.mapi
                (fun i op ->

@@ -12,6 +12,9 @@ let device = Weaver.Config.default.Weaver.Config.device
 let attrib_config =
   { Weaver.Config.default with Weaver.Config.attrib = true }
 
+let golden_rows = 20_000
+let golden_lineitems = 8_000
+
 let run_metrics ?(config = attrib_config) ?trace (w : Tpch.Patterns.workload)
     ~rows =
   let bases = w.Tpch.Patterns.gen ~seed:3 ~rows in
@@ -159,52 +162,76 @@ let test_provenance_survives_o3 () =
     "the same operators stay attributable after -O3" o0 o3;
   Alcotest.(check bool) "more than one operator" true (List.length o3 > 1)
 
+(* The 8 goldens, patterns (a)-(e), (ab), Q1 and Q21, with their inputs
+   and configs; generated on first use. *)
+let goldens =
+  lazy
+    (List.map
+       (fun (w : Tpch.Patterns.workload) ->
+         (w.name, w.plan, w.gen ~seed:16 ~rows:golden_rows, attrib_config))
+       (Tpch.Patterns.all () @ [ Tpch.Patterns.pattern_ab () ])
+    @
+    let db = Tpch.Datagen.generate ~seed:21 ~lineitems:golden_lineitems in
+    List.map
+      (fun ((q : Tpch.Queries.query), config) ->
+        (q.qname, q.plan, q.bind db, config))
+      [
+        (Tpch.Queries.q1, attrib_config);
+        ( Tpch.Queries.q21,
+          { attrib_config with Weaver.Config.join_expansion = 4 } );
+      ])
+
+(* a faulted run's partial metrics carry the ledger accumulated up to the
+   failure point *)
+let golden_metrics ?faults ~jobs (_, plan, bases, config) =
+  let config = { (Weaver.Config.with_jobs config jobs) with faults } in
+  let program = Weaver.Driver.compile ~config plan in
+  match
+    Weaver.Runtime.run_result program bases ~mode:Weaver.Runtime.Resident
+  with
+  | Ok r -> r.Weaver.Runtime.metrics
+  | Error f -> f.Weaver.Runtime.partial
+
 let test_jobs_bit_stability () =
-  let w = Tpch.Patterns.pattern_c () in
-  let at jobs =
-    run_metrics ~config:(Weaver.Config.with_jobs attrib_config jobs) w
-      ~rows:6_000
-  in
-  let m1 = at 1 and m4 = at 4 in
-  Alcotest.(check bool) "kernel cycles bit-identical" true
-    (m1.Weaver.Metrics.kernel_cycles = m4.Weaver.Metrics.kernel_cycles);
-  Alcotest.(check bool) "ledger rows bit-identical" true
-    (A.rows (Weaver.Metrics.attribution m1)
-    = A.rows (Weaver.Metrics.attribution m4))
+  List.iter
+    (fun ((name, _, _, _) as g) ->
+      let m1 = golden_metrics ~jobs:1 g and m4 = golden_metrics ~jobs:4 g in
+      let a1 = Weaver.Metrics.attribution m1 in
+      Alcotest.(check bool) (name ^ ": conserved") true
+        (A.conserved a1
+        && A.fold_cycles a1 = m1.Weaver.Metrics.kernel_cycles);
+      Alcotest.(check bool)
+        (name ^ ": kernel cycles bit-identical")
+        true
+        (m1.Weaver.Metrics.kernel_cycles = m4.Weaver.Metrics.kernel_cycles);
+      Alcotest.(check bool)
+        (name ^ ": ledger rows bit-identical")
+        true
+        (A.rows a1 = A.rows (Weaver.Metrics.attribution m4)))
+    (Lazy.force goldens)
 
 let test_storm_conservation () =
   (* conservation must hold on whatever ledger a faulted run accumulated,
      and retried groups must replace (not duplicate) their counterfactual *)
-  let w = Tpch.Patterns.pattern_ab () in
-  let bases = w.Tpch.Patterns.gen ~seed:3 ~rows:4_000 in
-  let config =
-    {
-      attrib_config with
-      Weaver.Config.faults =
-        Some "rseed@11,alloc%0.15,launch%0.15,transfer%0.15";
-    }
-  in
-  let program = Weaver.Driver.compile ~config w.Tpch.Patterns.plan in
-  let m =
-    match
-      Weaver.Runtime.run_result program bases ~mode:Weaver.Runtime.Resident
-    with
-    | Ok r -> r.Weaver.Runtime.metrics
-    | Error f -> f.Weaver.Runtime.partial
-  in
-  Alcotest.(check bool) "faults actually fired" true
-    (m.Weaver.Metrics.faults_injected > 0);
-  let a = Weaver.Metrics.attribution m in
-  Alcotest.(check bool) "conserved under the storm" true (A.conserved a);
-  Alcotest.(check bool) "fold still bit-exact" true
-    (A.fold_cycles a = m.Weaver.Metrics.kernel_cycles);
-  let groups =
-    List.map
-      (fun (c : A.counterfactual) -> c.A.cf_group)
-      m.Weaver.Metrics.counterfactuals
-  in
-  Alcotest.(check bool) "one counterfactual per group" true
-    (List.sort_uniq compare groups = List.sort compare groups)
+  let faults = "rseed@11,alloc%0.15,launch%0.15,transfer%0.15" in
+  List.iter
+    (fun ((name, _, _, _) as g) ->
+      let m = golden_metrics ~faults ~jobs:1 g in
+      Alcotest.(check bool) (name ^ ": faults actually fired") true
+        (m.Weaver.Metrics.faults_injected > 0);
+      let a = Weaver.Metrics.attribution m in
+      Alcotest.(check bool) (name ^ ": conserved under the storm") true
+        (A.conserved a);
+      Alcotest.(check bool) (name ^ ": fold still bit-exact") true
+        (A.fold_cycles a = m.Weaver.Metrics.kernel_cycles);
+      let groups =
+        List.map
+          (fun (c : A.counterfactual) -> c.A.cf_group)
+          m.Weaver.Metrics.counterfactuals
+      in
+      Alcotest.(check bool) (name ^ ": one counterfactual per group") true
+        (List.sort_uniq compare groups = List.sort compare groups))
+    (Lazy.force goldens)
 
 (* --- counterfactual accounting --------------------------------------------- *)
 

@@ -1,15 +1,15 @@
 (* Domain-parallel CTA execution: differential tests proving that
    interpreting a launch with jobs>=2 worker domains produces exactly the
-   results, stats and profiles of the sequential schedule, plus the merge
-   semantics (Stats) and per-worker caching the parallel path relies on. *)
+   results, stats and profiles of a one-worker run, plus the merge
+   semantics (Stats) the parallel path relies on. *)
 
 open Gpu_sim
 open Relation_lib
 
 let device = Device.fermi_c2050
 
-(* jobs used by every parallel run; >1 forces the pool + locked atomics
-   even on a single-core host (domains then time-slice) *)
+(* jobs used by every parallel run; >1 forces the pool even on a
+   single-core host (domains then time-slice) *)
 let par_jobs = 4
 
 (* --- Stats merge semantics ------------------------------------------------- *)
@@ -66,11 +66,11 @@ let test_stats_copy () =
   Stats.reset y;
   Alcotest.(check bool) "reset is zero" true (Stats.equal y (Stats.create ()))
 
-(* --- buffer-handle cache --------------------------------------------------- *)
+(* --- loads from several buffers --------------------------------------------- *)
 
-(* Alternating loads from two buffers every instruction used to thrash the
-   interpreter's single-entry handle cache; with the per-worker two-entry
-   MRU both stay hits. Three buffers exercise the miss path in rotation. *)
+(* Loads rotating over three buffers, every base a launch-constant handle
+   (each binds its buffer's backing array when the blocks are compiled),
+   summed into a fourth: the same sums at jobs 1 and 4. *)
 let test_interleaved_buffers () =
   let b = Kir_builder.create ~name:"interleave" ~params:4 () in
   let xs = Kir_builder.param b 0
@@ -126,8 +126,9 @@ let test_parallel_atomics () =
   let b = Kir_builder.create ~name:"count_all" ~params:1 () in
   let buf = Kir_builder.param b 0 in
   let open Kir_builder in
-  (* two counters in one buffer: every thread bumps slot tid&1, so stripes
-     see real contention on the same words from all workers *)
+  (* two counters in one buffer: every thread bumps slot tid&1, so every
+     CTA hits the same two words; a launch with a global atomic runs on
+     one worker, so no update is lost at any jobs *)
   let slot = bin b Kir.And tid (Imm 1) in
   let _ = atom b Kir.Atom_add Kir.Global ~base:buf ~idx:(Reg slot) ~src:(Imm 1) in
   let k = finish b in
@@ -140,6 +141,39 @@ let test_parallel_atomics () =
   Alcotest.(check int) "even slots" (grid * 17) d.(0);
   Alcotest.(check int) "odd slots" (grid * 16) d.(1);
   Alcotest.(check int) "atomics counted" (grid * cta) stats.Stats.atomics
+
+(* An atomic whose old value is used depends on the order in which CTAs
+   reach it: each thread claims an output slot with atom_add on a counter
+   and writes its global id there. Output must equal the one-worker run,
+   CTA index order, in every run. *)
+let test_slot_claiming_atomics () =
+  let b = Kir_builder.create ~name:"claim_slots" ~params:2 () in
+  let counter = Kir_builder.param b 0 and out = Kir_builder.param b 1 in
+  let open Kir_builder in
+  let gtid = bin b Kir.Mul ctaid ntid in
+  let gtid = bin b Kir.Add (Reg gtid) tid in
+  let slot =
+    atom b Kir.Atom_add Kir.Global ~base:counter ~idx:(Imm 0) ~src:(Imm 1)
+  in
+  st b Kir.Global ~base:out ~idx:(Reg slot) ~src:(Reg gtid) ~width:4;
+  let k = finish b in
+  let grid = 256 and cta = 32 in
+  let n = grid * cta in
+  let run jobs =
+    let mem = Memory.create device in
+    let hc = Memory.alloc mem ~words:1 ~bytes:4 in
+    let ho = Memory.alloc mem ~words:n ~bytes:(4 * n) in
+    ignore (Interp.run ~jobs mem k ~params:[| hc; ho |] ~grid ~cta);
+    Array.copy (Memory.data mem ho)
+  in
+  let seq = run 1 in
+  Alcotest.(check (array int)) "one worker claims in index order"
+    (Array.init n Fun.id) seq;
+  for i = 1 to 20 do
+    Alcotest.(check (array int))
+      (Printf.sprintf "run %d: jobs %d = jobs 1" i par_jobs)
+      seq (run par_jobs)
+  done
 
 (* --- interpreter-level differential: stats + profile ----------------------- *)
 
@@ -266,6 +300,7 @@ let suite =
     ("stats copy", `Quick, test_stats_copy);
     ("interleaved buffer cache", `Quick, test_interleaved_buffers);
     ("parallel global atomics", `Quick, test_parallel_atomics);
+    ("slot-claiming atomics", `Quick, test_slot_claiming_atomics);
     ("interp stats+profile differential", `Quick, test_interp_differential);
     ("parallel budget slice", `Quick, test_parallel_budget);
     pattern "pattern-a" (Tpch.Patterns.pattern_a ());
