@@ -12,51 +12,43 @@ type launch_report = {
 module T = Weaver_obs.Trace
 module A = Weaver_obs.Attrib
 
-(* Mutable accumulator behind [attrib_sample]; flattened into the
-   immutable [Attrib.contrib] at the end. *)
-type acc = {
-  mutable a_instructions : int;
-  mutable a_weight : float;
-  mutable a_bytes : int;
-  mutable a_shared : int;
-  mutable a_atomics : int;
-  mutable a_barriers : int;
-}
-
 (* Reduce a launch's per-pc execution counts to a per-operator sample.
    Every count lands on the instruction's provenance set: integer event
    totals split evenly across the set (remainders to the lowest op ids,
    the sets are sorted), the modelled thread-cycle weight splits exactly.
-   Untagged instructions accrue to the overhead pseudo-operator. The
-   reduction is a pure function of the merged counts, which are
-   bit-identical across worker counts, so samples are too. *)
+   Untagged instructions accrue to the overhead pseudo-operator. Operator
+   ids are small, so the totals accumulate in arrays indexed by id, in pc
+   order. The reduction is a pure function of the merged counts, which
+   are bit-identical across worker counts, so samples are too. *)
 let attrib_sample ?(timing = Timing.default_params) (k : Kir.kernel) counts =
-  let tbl = Hashtbl.create 16 in
-  let acc op =
-    match Hashtbl.find_opt tbl op with
-    | Some a -> a
-    | None ->
-        let a =
-          {
-            a_instructions = 0;
-            a_weight = 0.;
-            a_bytes = 0;
-            a_shared = 0;
-            a_atomics = 0;
-            a_barriers = 0;
-          }
-        in
-        Hashtbl.replace tbl op a;
-        a
-  in
   let last = min (Array.length counts) (Array.length k.Kir.body) - 1 in
+  let lo = ref A.overhead_op and hi = ref A.overhead_op in
+  for pc = 0 to last do
+    List.iter
+      (fun op ->
+        if op < !lo then lo := op;
+        if op > !hi then hi := op)
+      (Kir.prov_at k pc)
+  done;
+  let lo = !lo and m = !hi - !lo + 1 in
+  let seen = Array.make m false and instructions = Array.make m 0 in
+  let weight = Array.make m 0. and bytes = Array.make m 0 in
+  let shared = Array.make m 0 and atomics = Array.make m 0 in
+  let barriers = Array.make m 0 in
+  let add op c w b s a r =
+    let i = op - lo in
+    seen.(i) <- true;
+    instructions.(i) <- instructions.(i) + c;
+    weight.(i) <- weight.(i) +. w;
+    bytes.(i) <- bytes.(i) + b;
+    shared.(i) <- shared.(i) + s;
+    atomics.(i) <- atomics.(i) + a;
+    barriers.(i) <- barriers.(i) + r
+  in
   for pc = 0 to last do
     let c = counts.(pc) in
     if c > 0 then begin
-      let ops =
-        match Kir.prov_at k pc with [] -> [ A.overhead_op ] | l -> l
-      in
-      let bytes, shared, atomics, barriers, extra =
+      let b, s, a, r, extra =
         match k.Kir.body.(pc) with
         | Kir.Ld { space = Kir.Global; width; _ }
         | Kir.St { space = Kir.Global; width; _ } ->
@@ -69,45 +61,36 @@ let attrib_sample ?(timing = Timing.default_params) (k : Kir.kernel) counts =
         | _ -> (0, 0, 0, 0, 0.)
       in
       let w = float_of_int c *. (timing.Timing.alu_cycles +. extra) in
-      match ops with
-      | [ op ] ->
-          let a = acc op in
-          a.a_instructions <- a.a_instructions + c;
-          a.a_weight <- a.a_weight +. w;
-          a.a_bytes <- a.a_bytes + bytes;
-          a.a_shared <- a.a_shared + shared;
-          a.a_atomics <- a.a_atomics + atomics;
-          a.a_barriers <- a.a_barriers + barriers
+      match Kir.prov_at k pc with
+      | [] -> add A.overhead_op c w b s a r
+      | [ op ] -> add op c w b s a r
       | ops ->
           let nops = List.length ops in
           let wf = w /. float_of_int nops in
           let split = A.even_share ~parts:nops in
           List.iteri
             (fun i op ->
-              let a = acc op in
-              a.a_instructions <- a.a_instructions + split c i;
-              a.a_weight <- a.a_weight +. wf;
-              a.a_bytes <- a.a_bytes + split bytes i;
-              a.a_shared <- a.a_shared + split shared i;
-              a.a_atomics <- a.a_atomics + split atomics i;
-              a.a_barriers <- a.a_barriers + split barriers i)
+              add op (split c i) wf (split b i) (split s i) (split a i)
+                (split r i))
             ops
     end
   done;
-  Hashtbl.fold
-    (fun op a l ->
-      ( op,
-        {
-          A.c_instructions = a.a_instructions;
-          c_weight = a.a_weight;
-          c_global_bytes = a.a_bytes;
-          c_shared = a.a_shared;
-          c_atomics = a.a_atomics;
-          c_barriers = a.a_barriers;
-        } )
-      :: l)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let out = ref [] in
+  for i = m - 1 downto 0 do
+    if seen.(i) then
+      out :=
+        ( i + lo,
+          {
+            A.c_instructions = instructions.(i);
+            c_weight = weight.(i);
+            c_global_bytes = bytes.(i);
+            c_shared = shared.(i);
+            c_atomics = atomics.(i);
+            c_barriers = barriers.(i);
+          } )
+        :: !out
+  done;
+  !out
 
 (* Top instruction counts folded into the launch span, so a trace subsumes
    the standalone profiler view. Counts are bit-identical across worker

@@ -38,11 +38,26 @@
     different threads between two barriers, which nothing can observe:
     registers are per thread, the gate certified shared memory race-free
     and global stores disjoint across threads, and no thread loads a
-    buffer any thread stores. A batched CTA logs the old word of every
+    buffer any thread stores. A batch that holds every live thread of its
+    CTA (or a lone thread that is its CTA's last live one) goes on through
+    a [Bar] without the release round: it would be released at once and
+    the rescan would pick exactly that batch again at the next pc. A
+    batched CTA logs the old word of every
     global store; if it faults, or meets a block its remaining budget slice
     does not cover, its stores are undone and it re-runs per-thread with a
     fresh slice, raising exactly the per-thread fault, after exactly its
     partial writes. Other launches run per-thread.
+
+    {b Register file.} One register file per worker holds [reg_count]
+    registers per thread: after -O3's register allocation a few dozen
+    rather than the code generator's virtual count (Q21's fused compute
+    kernel: 27 rather than ~1,500). A worker re-zeroes it between CTAs
+    only for a kernel without the gate's store fact. That stays sound
+    when allocation makes registers share numbers: the gate (on the raw
+    kernel) rejects any read that may precede a write, -O3 keeps that
+    property, and the allocator gives a register live at entry a number
+    of its own, so every read of a shared number follows a write of the
+    same value by the same thread in the same CTA.
 
     Determinism: given the same memory contents and parameters, a launch
     returns bit-identical results, stats and profiles at every [jobs].
@@ -90,8 +105,10 @@ val run :
     with its stored fault within one CTA. [trace] (default [Trace.none])
     adds wall-clock-only Worker-lane spans around each worker's CTA chunk
     when the tracer records events and has a wall clock, closed with the
-    worker's [batched] CTA count and [mean_batch], its threads per block
-    execution on the batched schedule; the simulated timeline is
+    worker's [batched] CTA count, [mean_batch] (its threads per block
+    execution on the batched schedule), [regs] (its register-file words,
+    [reg_count * cta]) and [barrier_passes] (barriers a whole-CTA batch
+    went through without a release); the simulated timeline is
     untouched (the executor owns the launch span). *)
 
 val with_launch_observer :

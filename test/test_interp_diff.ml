@@ -55,19 +55,22 @@ let same_outcome a b =
   | Raised e1, Raised e2 -> e1 = e2
   | _ -> false
 
-(* CTAs a run executed on the batched schedule, read from the arguments
-   of the interpreter's worker-lane spans. *)
-let batched_ctas trace =
+(* The sum of one integer argument of the interpreter's worker-lane
+   spans: [batched] counts CTAs run on the batched schedule,
+   [barrier_passes] barriers a whole-CTA batch went through unreleased. *)
+let span_sum name trace =
   List.fold_left
     (fun acc (e : Weaver_obs.Trace.event) ->
-      match List.assoc_opt "batched" e.Weaver_obs.Trace.args with
+      match List.assoc_opt name e.Weaver_obs.Trace.args with
       | Some (Weaver_obs.Trace.Int n) -> acc + n
       | _ -> acc)
     0
     (Weaver_obs.Trace.events trace)
 
-(* (what, kernel) -> CTAs batched by the last jobs = 1 run of a launch *)
+(* (what, kernel) -> CTAs batched, and barriers passed, by the last
+   jobs = 1 run of a launch *)
 let batched : (string * string, int) Hashtbl.t = Hashtbl.create 16
+let passes : (string * string, int) Hashtbl.t = Hashtbl.create 16
 
 (* Replay one launch under the oracle and under [Interp.run] at jobs 1
    and 4. Memory is compared after every run that completed, and after a
@@ -93,8 +96,12 @@ let check_launch ~what ?max_instructions mem k ~params ~grid ~cta =
               ~grid ~cta)
           m k
       in
-      if jobs = 1 && max_instructions = None then
-        Hashtbl.replace batched (what, k.Kir.kname) (batched_ctas trace);
+      if jobs = 1 && max_instructions = None then begin
+        Hashtbl.replace batched (what, k.Kir.kname) (span_sum "batched" trace);
+        let key = (what, k.Kir.kname) in
+        let seen = Option.value ~default:0 (Hashtbl.find_opt passes key) in
+        Hashtbl.replace passes key (seen + span_sum "barrier_passes" trace)
+      end;
       let label =
         Printf.sprintf "%s: %s jobs=%d budget=%s" what k.Kir.kname jobs
           (match max_instructions with
@@ -152,6 +159,7 @@ let test_goldens () =
   let gs = goldens () in
   Alcotest.(check int) "8 goldens" 8 (List.length gs);
   Hashtbl.reset batched;
+  Hashtbl.reset passes;
   List.iter
     (fun (name, plan, bases) ->
       check_all_launches ~what:name (fun () ->
@@ -167,7 +175,10 @@ let test_goldens () =
         Alcotest.failf "%s/%s ran no CTA batched" (fst key) (snd key))
     [
       ("Q1", "group0_compute"); ("Q1", "group0_gather0"); ("Q21", "group0_compute");
-    ]
+    ];
+  (* ... and the whole-CTA barrier pass, not only the release round *)
+  if Option.value ~default:0 (Hashtbl.find_opt passes ("Q21", "group0_compute")) = 0
+  then Alcotest.fail "Q21/group0_compute passed no barrier in one batch"
 
 let test_random_plans () =
   List.iter
@@ -529,6 +540,104 @@ let test_same_word_per_thread () =
   Alcotest.(check int) "per-thread" 0
     (Hashtbl.find batched ("same word", "same_word"))
 
+(* --- barriers on the batched schedule ------------------------------------- *)
+
+(* Kernels with barriers, checked like [check_batched] at every budget
+   from 1 to completion, so exhaustion also lands on a barrier block;
+   [passes] is how many barriers the default-budget jobs = 1 run let a
+   whole-CTA batch through unreleased. *)
+let check_barriers ~what ?(grid = 2) ~cta mem k ~params =
+  Hashtbl.remove passes (what, k.Kir.kname);
+  check_batched ~what ~grid ~cta mem k ~params;
+  Option.value ~default:0 (Hashtbl.find_opt passes (what, k.Kir.kname))
+
+(* [smem[tid] := tid * 3 + ctaid; bar; out[row] := smem[(tid + 1) mod n];
+   bar; out2[row] := smem[tid] + 1]: every thread reaches both barriers
+   together, so the batch goes through them without a release. *)
+let barrier_kernel () =
+  let b = Kir_builder.create ~name:"bar_all" ~params:2 () in
+  let open Kir_builder in
+  let sm = alloc_shared b ~words:16 ~bytes:64 in
+  let row = bin b Kir.Add (Kir.Reg (bin b Kir.Mul ctaid (Kir.Imm 16))) tid in
+  let v = bin b Kir.Add (Kir.Reg (bin b Kir.Mul tid (Kir.Imm 3))) ctaid in
+  st b Kir.Shared ~base:sm ~idx:tid ~src:(Kir.Reg v) ~width:4;
+  bar b;
+  let nb = bin b Kir.Rem (Kir.Reg (bin b Kir.Add tid (Kir.Imm 1))) ntid in
+  let w = ld b Kir.Shared ~base:sm ~idx:(Kir.Reg nb) ~width:4 in
+  st b Kir.Global ~base:(param b 0) ~idx:(Kir.Reg row) ~src:(Kir.Reg w) ~width:4;
+  bar b;
+  let u = ld b Kir.Shared ~base:sm ~idx:tid ~width:4 in
+  let u1 = bin b Kir.Add (Kir.Reg u) (Kir.Imm 1) in
+  st b Kir.Global ~base:(param b 1) ~idx:(Kir.Reg row) ~src:(Kir.Reg u1) ~width:4;
+  finish b
+
+let test_barrier_all_arrive () =
+  let k = barrier_kernel () in
+  let mem = Memory.create device in
+  let out = alloc mem 32 and out2 = alloc mem 32 in
+  List.iter
+    (fun cta ->
+      let n = check_barriers ~what:"all arrive" ~cta mem k ~params:[| out; out2 |] in
+      (* two barriers per CTA, two CTAs *)
+      Alcotest.(check int) (Printf.sprintf "passes at cta %d" cta) 4 n)
+    [ 2; 5; 16 ]
+
+(* Odd threads branch to a [Ret] placed after the barrier code: the even
+   threads reach the first barrier as a batch smaller than the live
+   count and take the release round; once the odd threads have
+   returned, the evens are every live thread and pass the second. *)
+let test_barrier_early_return () =
+  let b = Kir_builder.create ~name:"bar_early_ret" ~params:1 () in
+  let open Kir_builder in
+  let sm = alloc_shared b ~words:16 ~bytes:64 in
+  let row = bin b Kir.Add (Kir.Reg (bin b Kir.Mul ctaid (Kir.Imm 16))) tid in
+  let odd = bin b Kir.And tid (Kir.Imm 1) in
+  let quit = new_label b in
+  brnz b (Kir.Reg odd) quit;
+  st b Kir.Shared ~base:sm ~idx:tid ~src:(Kir.Reg row) ~width:4;
+  bar b;
+  let nb = bin b Kir.Rem (Kir.Reg (bin b Kir.Add tid (Kir.Imm 2))) ntid in
+  let w = ld b Kir.Shared ~base:sm ~idx:(Kir.Reg nb) ~width:4 in
+  bar b;
+  st b Kir.Global ~base:(param b 0) ~idx:(Kir.Reg row) ~src:(Kir.Reg w) ~width:4;
+  ret b;
+  place b quit;
+  st b Kir.Global ~base:(param b 0) ~idx:(Kir.Reg row) ~src:(Kir.Imm (-1)) ~width:4;
+  let k = finish b in
+  let mem = Memory.create device in
+  let out = alloc mem 32 in
+  let n = check_barriers ~what:"early return" ~cta:8 mem k ~params:[| out |] in
+  Alcotest.(check int) "only the second barrier passes" 2 n
+
+(* After a passed barrier every thread divides by [tid - p]: thread [p]
+   faults inside the whole-CTA batch, which rolls back and re-runs
+   per-thread, raising the per-thread fault after exactly its stores. *)
+let test_barrier_fault_after_pass () =
+  let b = Kir_builder.create ~name:"bar_then_div" ~params:3 () in
+  let open Kir_builder in
+  let sm = alloc_shared b ~words:8 ~bytes:32 in
+  let row = bin b Kir.Add (Kir.Reg (bin b Kir.Mul ctaid (Kir.Imm 8))) tid in
+  st b Kir.Shared ~base:sm ~idx:tid ~src:tid ~width:4;
+  bar b;
+  let nb = bin b Kir.Sub (Kir.Reg (bin b Kir.Sub ntid (Kir.Imm 1))) tid in
+  let w = ld b Kir.Shared ~base:sm ~idx:(Kir.Reg nb) ~width:4 in
+  st b Kir.Global ~base:(param b 0) ~idx:(Kir.Reg row) ~src:(Kir.Reg w) ~width:4;
+  let d = bin b Kir.Sub tid (param b 2) in
+  let q = bin b Kir.Div (Kir.Imm 1000) (Kir.Reg d) in
+  st b Kir.Global ~base:(param b 1) ~idx:(Kir.Reg row) ~src:(Kir.Reg q) ~width:4;
+  let k = finish b in
+  let mem = Memory.create device in
+  let out = alloc mem 16 and out2 = alloc mem 16 in
+  Alcotest.(check int) "no fault: one pass per CTA" 2
+    (check_barriers ~what:"no fault" ~cta:8 mem k ~params:[| out; out2; 100 |]);
+  let mem = Memory.create device in
+  let out = alloc mem 16 and out2 = alloc mem 16 in
+  let k = { k with Kir.stores_disjoint = true } in
+  check_fused ~what:"fault after pass" ~grid:2 ~cta:8 mem k ~params:[| out; out2; 5 |];
+  match fault_of (fun () -> Interp.run mem k ~params:[| out; out2; 5 |] ~grid:2 ~cta:8) with
+  | Fault.Div_by_zero { kernel } -> Alcotest.(check string) "kernel" "bar_then_div" kernel
+  | f -> Alcotest.failf "unexpected fault %s" (Fault.render f)
+
 let suite =
   [
     Alcotest.test_case "goldens match the oracle" `Slow test_goldens;
@@ -547,4 +656,10 @@ let suite =
       test_batch_fault_mid_batch;
     Alcotest.test_case "same-word stores run per-thread" `Quick
       test_same_word_per_thread;
+    Alcotest.test_case "whole-CTA batch passes barriers" `Quick
+      test_barrier_all_arrive;
+    Alcotest.test_case "early return takes the release round" `Quick
+      test_barrier_early_return;
+    Alcotest.test_case "fault after a passed barrier" `Quick
+      test_barrier_fault_after_pass;
   ]

@@ -19,6 +19,7 @@ let () =
       ("runtime-paths", Test_runtime_paths.suite);
       ("parallel", Test_parallel.suite);
       ("interp-diff", Test_interp_diff.suite);
+      ("regalloc", Test_regalloc.suite);
       ("certify-memo", Test_certify_memo.suite);
       ("faults", Test_faults.suite);
       ("integrity", Test_integrity.suite);
