@@ -2,9 +2,6 @@ open Gpu_sim
 
 type t = { cfg_ : Cfg.t; in_ : Dataflow.Bits.t array; out : Dataflow.Bits.t array }
 
-let used_regs ins =
-  List.filter_map (function Kir.Reg r -> Some r | Kir.Imm _ -> None) (Kir.used_operands ins)
-
 let compute cfg_ =
   let k = Cfg.kernel cfg_ in
   let nregs = k.Kir.reg_count in
@@ -12,12 +9,13 @@ let compute cfg_ =
   let transfer b facts =
     let cur = Dataflow.Bits.copy facts in
     let blk = Cfg.block cfg_ b in
+    let use r = if r >= 0 && r < nregs then Dataflow.Bits.set cur r in
     for i = blk.Cfg.last downto blk.Cfg.first do
       let ins = k.Kir.body.(i) in
       (match Kir.defined_reg ins with
       | Some d when d >= 0 && d < nregs -> Dataflow.Bits.clear cur d
       | _ -> ());
-      List.iter (fun r -> if r >= 0 && r < nregs then Dataflow.Bits.set cur r) (used_regs ins)
+      Kir.iter_used_regs use ins
     done;
     cur
   in
@@ -53,15 +51,14 @@ let max_live t ~counted =
     if Cfg.reachable cfg_ b then begin
       let blk = Cfg.block cfg_ b in
       let cur = Dataflow.Bits.copy t.out.(b) in
+      let use r = if r >= 0 && r < nregs then Dataflow.Bits.set cur r in
       weigh blk.Cfg.last cur;
       for i = blk.Cfg.last downto blk.Cfg.first do
         let ins = k.Kir.body.(i) in
         (match Kir.defined_reg ins with
         | Some d when d >= 0 && d < nregs -> Dataflow.Bits.clear cur d
         | _ -> ());
-        List.iter
-          (fun r -> if r >= 0 && r < nregs then Dataflow.Bits.set cur r)
-          (used_regs ins);
+        Kir.iter_used_regs use ins;
         weigh i cur
       done
     end
@@ -74,11 +71,11 @@ let dead_defs t defs =
   let n = Array.length k.Kir.body in
   let used_def = Array.make (max n 1) false in
   Cfg.iter_instrs cfg_ (fun i ins ->
-      List.iter
+      Kir.iter_used_regs
         (fun r ->
           let sites, _entry = Defs.reaching defs ~at:i r in
           List.iter (fun s -> used_def.(s) <- true) sites)
-        (used_regs ins));
+        ins);
   let out = ref [] in
   Cfg.iter_instrs cfg_ (fun i ins ->
       match (ins, Kir.defined_reg ins) with

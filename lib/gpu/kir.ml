@@ -123,6 +123,22 @@ let used_operands = function
   | Trap (_, Some n) -> [ n ]
   | Brz (c, _) | Brnz (c, _) -> [ c ]
 
+let use_reg f = function Reg r -> f r | Imm _ -> ()
+
+let iter_used_regs f = function
+  | Mov (_, a) | Un (_, _, a) | Trap (_, Some a) | Brz (a, _) | Brnz (a, _) ->
+      use_reg f a
+  | Bin (_, _, a, b) | Cmp (_, _, a, b) | Ld { base = a; idx = b; _ } ->
+      use_reg f a;
+      use_reg f b
+  | Sel (_, a, b, c)
+  | St { base = a; idx = b; src = c; _ }
+  | Atom { base = a; idx = b; src = c; _ } ->
+      use_reg f a;
+      use_reg f b;
+      use_reg f c
+  | Br _ | Bar | Ret | Trap (_, None) -> ()
+
 let pp_operand ppf = function
   | Reg r -> Format.fprintf ppf "r%d" r
   | Imm n -> Format.fprintf ppf "%d" n
