@@ -109,12 +109,13 @@ let bechamel_suite ~jobs () =
       (Staged.stage (fun () ->
            ignore (Relation_lib.Relation.sort ~key_arity:2 r)))
   in
-  (* one interpreted launch on its own: Q1's fused compute kernel over
-     20,000 lineitems, captured at its launch and replayed on a copy of
-     device memory (the kernel never reads what it writes, so every
-     replay does the same work). Divide by the printed instruction count
-     for ns per simulated instruction. *)
-  let replay_test =
+  (* one interpreted launch on its own, captured at its launch and
+     replayed on a copy of device memory (the kernel never reads what it
+     writes, so every replay does the same work): Q1's fused compute
+     kernel over 20,000 lineitems, and Q21's over 2,000 lineitems at
+     [join_expansion = 3] (perfbench's q21-repeat shape). Divide by the
+     printed instruction count for ns per simulated instruction. *)
+  let replay_test (q : Tpch.Queries.query) ~lineitems ~config =
     let module M = Gpu_sim.Memory in
     (* a copy of [mem] with the same handles *)
     let clone mem =
@@ -132,9 +133,8 @@ let bechamel_suite ~jobs () =
       done;
       m
     in
-    let q = Tpch.Queries.q1 in
-    let db = Tpch.Datagen.generate ~seed:1 ~lineitems:20_000 in
-    let program = Weaver.Driver.compile q.Tpch.Queries.plan in
+    let db = Tpch.Datagen.generate ~seed:1 ~lineitems in
+    let program = Weaver.Driver.compile ~config q.Tpch.Queries.plan in
     let captured = ref None in
     Gpu_sim.Interp.with_launch_observer
       (fun mem k ~params ~grid ~cta ->
@@ -146,10 +146,13 @@ let bechamel_suite ~jobs () =
              ~mode:Weaver.Runtime.Resident));
     let mem, k, params, grid, cta = Option.get !captured in
     let run () = Gpu_sim.Interp.run mem k ~params ~grid ~cta in
-    Printf.printf "interp/q1-group0_compute: %d simulated instructions\n"
+    let name =
+      Printf.sprintf "interp/%s-group0_compute"
+        (String.lowercase_ascii q.Tpch.Queries.qname)
+    in
+    Printf.printf "%s: %d simulated instructions\n" name
       (run ()).Gpu_sim.Stats.instructions;
-    Test.make ~name:"interp/q1-group0_compute"
-      (Staged.stage (fun () -> ignore (run ())))
+    Test.make ~name (Staged.stage (fun () -> ignore (run ())))
   in
   (* the jobs pair must time two distinct configurations, so a request
      that resolves to one worker compares against four *)
@@ -182,7 +185,9 @@ let bechamel_suite ~jobs () =
           ~label:"pattern-a-jobs1-attrib";
         compile_test;
         optimize_test;
-        replay_test;
+        replay_test Tpch.Queries.q1 ~lineitems:20_000 ~config:seq;
+        replay_test Tpch.Queries.q21 ~lineitems:2_000
+          ~config:{ seq with join_expansion = 3 };
         sort_test ~name:"sort/q1-shape-20000" [ 7; 8; 3; 4; 5; 6; 9 ];
         sort_test ~name:"sort/f32-keys-20000" [ 3; 4; 7; 8; 5; 6; 9 ];
       ]
