@@ -20,7 +20,8 @@ module A = Weaver_obs.Attrib
    ids are small, so the totals accumulate in arrays indexed by id, in pc
    order. The reduction is a pure function of the merged counts, which
    are bit-identical across worker counts, so samples are too. *)
-let attrib_sample ?(timing = Timing.default_params) (k : Kir.kernel) counts =
+let attrib_sample (k : Kir.kernel) counts =
+  let timing = Timing.default_params in
   let last = min (Array.length counts) (Array.length k.Kir.body) - 1 in
   let lo = ref A.overhead_op and hi = ref A.overhead_op in
   for pc = 0 to last do
@@ -110,7 +111,7 @@ let hot_args (k : Kir.kernel) counts =
         T.Str (Format.asprintf "%dx pc%d %a" c i Kir.pp_instr k.Kir.body.(i)) ))
     (take 3 sorted)
 
-let launch ?timing ?jobs ?(faults = Fault_inject.none)
+let launch ?jobs ?(faults = Fault_inject.none)
     ?(cancel = Cancel.none) ?(trace = T.none) ?(attrib = false) device mem
     (k : Kir.kernel) ~params ~grid ~cta =
   (match
@@ -154,9 +155,9 @@ let launch ?timing ?jobs ?(faults = Fault_inject.none)
       Occupancy.limiting_resource device ~cta_threads:cta
         ~shared_bytes:k.shared_bytes ~regs_per_thread:k.regs_per_thread
     in
-    let time = Timing.kernel_time ?params:timing device ~occupancy stats in
+    let time = Timing.kernel_time device ~occupancy stats in
     let sample =
-      if attrib then Option.map (attrib_sample ?timing k) profile else None
+      if attrib then Option.map (attrib_sample k) profile else None
     in
     ( profile,
       {

@@ -18,7 +18,6 @@ type launch_report = {
 }
 
 val attrib_sample :
-  ?timing:Timing.params ->
   Kir.kernel ->
   int array ->
   Weaver_obs.Attrib.sample
@@ -29,7 +28,6 @@ val attrib_sample :
     to {!Weaver_obs.Attrib.overhead_op}. Deterministic for given counts. *)
 
 val launch :
-  ?timing:Timing.params ->
   ?jobs:int ->
   ?faults:Fault_inject.t ->
   ?cancel:Cancel.t ->

@@ -133,10 +133,12 @@ let layout (k : Kir.kernel) =
 type exit =
   | Goto of int  (** fall-through or unconditional branch to this pc *)
   | Next of (int -> int) * (int array -> int -> int)
-      (** conditional branch or trap: one thread's next pc (or a raise);
-          and for a batch of threads, their next pcs written to the pc
-          array, returning the pc when they all agree and [split]
-          otherwise *)
+      (** a trap, a branch to an out-of-range label or an exit naming a
+          bad register: one thread's next pc (or a raise); and for a batch
+          of threads, their next pcs written to the pc array, returning
+          that pc. The threads of a batch agree on it or one of them
+          raises: a trap and a bad register raise for every thread, and an
+          out-of-range branch raises for each thread that takes it. *)
   | Branch of (int -> int) * int * int * (int array -> int -> int array -> int)
       (** a branch on a register with two targets [lo < hi]: one thread's
           next pc; and [part ts n up], which writes the next pcs of the
@@ -174,9 +176,6 @@ let addr base idx =
   | K b, K i -> A_k (b + i)
   | R x, K n | K n, R x -> A_r (x, n)
   | R x, R y -> A_rr (x, y)
-
-(* a batch's threads leave a block for different pcs *)
-let split = min_int
 
 (* Unchecked register, shared-memory and buffer accesses, for indices the
    compiler range-checked (registers) or the closure checks just before. *)
@@ -915,16 +914,11 @@ let compile (k : Kir.kernel) (lay : layout) (in_range, src) ~mem ~shared
     | Br _ | Brz _ | Brnz _ | Bar | Ret | Trap _ -> assert false
   in
   let next_all one ts n =
-    let first = one (get ts 0) in
-    set pcs (get ts 0) first;
-    let same = ref true in
-    for j = 1 to n - 1 do
+    for j = 0 to n - 1 do
       let t = get ts j in
-      let p = one t in
-      set pcs t p;
-      if p <> first then same := false
+      set pcs t (one t)
     done;
-    if !same then first else split
+    get pcs (get ts 0)
   in
   let next one = Next (one, next_all one) in
   let branch c l ~taken_if_zero ~fall =
@@ -1164,48 +1158,37 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
     in
     (* Batched schedule: the running threads at the lowest pc run each
        block as one batch, [!batch.(0 .. nb-1)]; every other running thread
-       is at pc [q] or above. A batch keeps going while it stays together
-       below [q]: no other thread can be at its pc, so a rescan would pick
-       it again. For the same reason a batch that holds every live thread
+       waits in a pending group of threads at one pc,
+       [garr.(i).(0 .. gn.(i)-1)] at pc [gpc.(i)] for [i < !ng], one group
+       per pc, lowest pc last ([q] is that pc). Each barrier round starts
+       with one pass over the CTA that releases the threads waiting at a
+       barrier and parks every running thread in the group of its pc; the
+       group at the lowest pc becomes the batch. A batch keeps going while
+       it stays together below [q]. A two-way branch that splits it
+       partitions it in the loop that writes the threads' pcs; the side
+       bound for the higher target joins the group at that pc, or starts
+       one, and the other side goes on if it is still the lowest. A batch
+       that reaches [q] or beyond joins or starts the group at its pc; one
+       that stops at a barrier or returns leaves the running set. Either
+       way the group at the lowest pc becomes the batch, until no group is
+       left and the round ends. So every batch holds the running threads
+       at the lowest pc, though not always in ascending thread order, which
+       nothing observes, as with any reordering of threads between
+       barriers. For the same reason a batch that holds every live thread
        of the CTA (or a lone thread that is its last live one) goes through
        a barrier as if released at once. The budget is charged per block
        for the whole batch; a block the remaining slice does not cover
-       raises [Unbatch].
-
-       A rescan of the running threads finds the lowest pc [p], the
-       threads at it and the next pc [q]. When [q = max_int] the batch
-       holds every running thread, and from then on the schedule is
-       [complete]: it tracks every running thread without rescanning, in
-       the batch or in a pending group of threads waiting at one pc,
-       [garr.(i).(0 .. gn.(i)-1)] at pc [gpc.(i)] for [i < !ng], one group
-       per pc, lowest pc last ([q] is that pc). A two-way branch that
-       splits the batch partitions it in the loop that writes the threads'
-       pcs; the side bound for the higher target joins the group at that
-       pc, or starts one, and the other side goes on if it is still the
-       lowest. A batch that reaches [q] or beyond joins or starts the group
-       at its pc; one that stops at a barrier or returns leaves the running
-       set. Either way the group at the lowest pc becomes the batch: the
-       threads a rescan would pick, though not in the rescan's thread
-       order, which nothing observes, as with any reordering of threads
-       between barriers. A rescan that leaves threads above the batch
-       starts an incomplete schedule: a split still goes on with its lower
-       side while that stays below [q], and the next rescan finds the
-       rest. *)
-    let act = Array.make cta 0 in
+       raises [Unbatch]. *)
     let batch = ref (Array.make cta 0) and up = ref (Array.make cta 0) in
     (* the pending groups; [garr.(!ng)] is a spare array, allocated on
        first use *)
     let gpc = Array.make (cta + 1) 0 and gn = Array.make (cta + 1) 0 in
     let garr = Array.make (cta + 1) [||] and ng = ref 0 in
-    (* the batch and the pending groups hold every running thread *)
-    let complete = ref false in
-    let block_runs = ref 0 and block_threads = ref 0 and rescans = ref 0 in
+    let block_runs = ref 0 and block_threads = ref 0 and rounds = ref 0 in
     (* barriers a batch holding every live thread of its CTA went through
-       without a release: the rescan after it would have picked exactly
-       that batch again at the next pc *)
+       without a release: the next round would have started with exactly
+       that batch at the next pc *)
     let barrier_passes = ref 0 in
-    (* set when a thread of the batch arrives at a barrier or returns *)
-    let stopped = ref false in
     (* Adds the threads [a.(0 .. n-1)], all at pc [p], to the pending
        groups; returns an array the caller can use in place of [a]. *)
     let park p a n =
@@ -1215,8 +1198,11 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
       done;
       let i = !i in
       if i >= 0 && get gpc i = p then begin
-        Array.blit a 0 garr.(i) (get gn i) n;
-        set gn i (get gn i + n);
+        let g = garr.(i) and m = get gn i in
+        for j = 0 to n - 1 do
+          set g (m + j) (get a j)
+        done;
+        set gn i (m + n);
         a
       end
       else begin
@@ -1233,8 +1219,9 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
         if Array.length spare = 0 then Array.make cta 0 else spare
       end
     in
-    (* returned by [run_alone] and [run_batch] when the batch stopped *)
-    let stop = split + 1 in
+    (* returned by [run_alone] and [run_batch] when the batch stopped: no
+       block starts at a negative pc *)
+    let stop = min_int in
     (* a batch of one from pc [p]: its single-thread closures; returns the
        pc it reached at or above [q], or [stop] *)
     let run_alone tid p q =
@@ -1262,13 +1249,11 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
             pc := next
         | Barrier next ->
             status.(tid) <- st_at_bar;
-            stopped := true;
             pc := max_int;
             pcs.(tid) <- next
         | Return ->
             status.(tid) <- st_done;
             decr live;
-            stopped := true;
             pc := max_int
       done;
       if status.(tid) <> st_running then stop
@@ -1278,7 +1263,7 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
       end
     (* the batch of [!nb] threads from pc [p]; returns the pc the whole
        batch reached at or above [!q], the pc of its lower side after a
-       split ([!nb] threads), [stop], or [split] for a rescan *)
+       split ([!nb] threads), or [stop] *)
     and run_batch nb p q =
       let pc = ref p and going = ref true in
       while !going do
@@ -1310,7 +1295,7 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
         | Next (_, all) ->
             let next = all ts n in
             pc := next;
-            if next = split || next >= !q then going := false
+            if next >= !q then going := false
         | Branch (_, lo, hi, part) ->
             let nlo = part ts n !up in
             if nlo = n || nlo = 0 then begin
@@ -1319,11 +1304,8 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
               if next >= !q then going := false
             end
             else begin
-              if !complete then begin
-                up := park hi !up (n - nlo);
-                q := get gpc (!ng - 1)
-              end
-              else q := min hi !q;
+              up := park hi !up (n - nlo);
+              q := min hi !q;
               nb := nlo;
               pc := lo;
               if nlo = 1 || lo >= !q then going := false
@@ -1337,7 +1319,6 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
               set pcs t next;
               set status t st_at_bar
             done;
-            stopped := true;
             pc := stop;
             going := false
         | Return ->
@@ -1345,88 +1326,42 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
               set status (get ts j) st_done
             done;
             live := !live - n;
-            stopped := true;
             pc := stop;
             going := false
       done;
       !pc
     in
-    (* runs the batch [!batch.(0 .. nb-1)] at pc [p], the others at [q] or
-       above, and while the schedule is complete the pending groups, until
-       no thread runs or a rescan is needed *)
-    let run_group nb p q =
-      complete := q = max_int;
-      ng := 0;
-      let nb = ref nb and q = ref q and pc = ref p in
-      while !pc <> split do
-        let r =
-          if !nb = 1 then run_alone (get !batch 0) !pc !q else run_batch nb !pc q
-        in
-        if r = split then pc := split
-        else if r <> stop && r < !q then pc := r
-        else if not !complete then pc := split
-        else begin
-          if r <> stop then batch := park r !batch !nb;
-          if !ng = 0 then pc := split
-          else begin
-            (* the group at the lowest pc becomes the batch *)
-            decr ng;
-            let i = !ng in
-            let a = garr.(i) in
-            garr.(i) <- !batch;
-            batch := a;
-            nb := get gn i;
-            pc := get gpc i;
-            q := if i > 0 then get gpc (i - 1) else max_int
-          end
-        end
-      done
-    in
-    (* one pass over the running threads finds the lowest pc [p], the
-       threads at it and the next pc [q] above it *)
+    (* One barrier round after another. A round's pass over the CTA
+       releases the threads at a barrier and parks every running thread;
+       then the group at the lowest pc runs as the batch, the others at
+       [q] or above, until no group is left. A CTA that raised may have
+       left groups behind. *)
     let run_batched () =
+      ng := 0;
       while !live > 0 do
-        let nact = ref 0 in
+        incr rounds;
         for t = 0 to cta - 1 do
-          if get status t = st_running then begin
-            set act !nact t;
-            incr nact
+          if get status t <> st_done then begin
+            set status t st_running;
+            set !up 0 t;
+            up := park (get pcs t) !up 1
           end
         done;
-        while !nact > 0 do
-          incr rescans;
-          let ts = !batch in
-          let p = ref max_int and q = ref max_int and nb = ref 0 in
-          for j = 0 to !nact - 1 do
-            let t = get act j in
-            let pc = get pcs t in
-            if pc < !p then begin
-              q := !p;
-              p := pc;
-              set ts 0 t;
-              nb := 1
-            end
-            else if pc = !p then begin
-              set ts !nb t;
-              incr nb
-            end
-            else if pc < !q then q := pc
+        while !ng > 0 do
+          decr ng;
+          let i = !ng in
+          let a = garr.(i) in
+          garr.(i) <- !batch;
+          batch := a;
+          let nb = ref (get gn i) and pc = ref (get gpc i) in
+          let q = ref (if i > 0 then get gpc (i - 1) else max_int) in
+          while !pc <> stop && !pc < !q do
+            pc :=
+              if !nb = 1 then run_alone (get !batch 0) !pc !q
+              else run_batch nb !pc q
           done;
-          stopped := false;
-          run_group !nb !p !q;
-          if !stopped then begin
-            let m = ref 0 in
-            for j = 0 to !nact - 1 do
-              let t = get act j in
-              if get status t = st_running then begin
-                set act !m t;
-                incr m
-              end
-            done;
-            nact := !m
-          end
-        done;
-        release ()
+          if !pc <> stop then batch := park !pc !batch !nb
+        done
       done
     in
     (* A batched CTA that faults, or reaches a block its remaining slice
@@ -1462,7 +1397,7 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
         ("batched", Int !batched_ctas);
         ("regs", Int (nregs * cta));
         ("barrier_passes", Int !barrier_passes);
-        ("rescans", Int !rescans);
+        ("rescans", Int !rounds);
         ( "mean_batch",
           Float
             (if !block_runs = 0 then 0.

@@ -31,32 +31,33 @@
     through distinct handles and never loads a handle it stores, runs each
     CTA on the {e batched} schedule: the running threads at the lowest pc
     execute each block together, one loop over the batch per instruction
-    (a batch of one runs the single-thread closures). Once a batch holds
-    every running thread of its CTA, the schedule tracks where the others
-    wait instead of rescanning them: a two-way branch on a register
-    partitions the batch in the loop that writes the threads' pcs, the
-    side bound for the higher target waits in a group at that pc, a batch
-    that reaches a group's pc joins it, and the group at the lowest pc runs
-    next. A rescan of the running threads finds the next batch at the
-    start of each barrier round, and when threads left above a batch are
-    untracked (after a release to different pcs, or a trap or
-    out-of-range branch that splits a batch); such a batch still goes on
-    with the lower side of a split. Either way every batch holds the
-    threads a rescan would have picked, in an order nothing observes (see
-    below); barriers release as above. A block entry adds the batch size
-    to its count, so [Stats] and the profile are unchanged. This reorders
-    the instructions of different threads between two barriers, which
-    nothing can observe: registers are per thread, the gate certified
-    shared memory race-free and global stores disjoint across threads, and
-    no thread loads a buffer any thread stores. A batch that holds every live thread of its
-    CTA (or a lone thread that is its CTA's last live one) goes on through
-    a [Bar] without the release round: it would be released at once and
-    the rescan would pick exactly that batch again at the next pc. A
-    batched CTA logs the old word of every
-    global store; if it faults, or meets a block its remaining budget slice
-    does not cover, its stores are undone and it re-runs per-thread with a
-    fresh slice, raising exactly the per-thread fault, after exactly its
-    partial writes. Other launches run per-thread.
+    (a batch of one runs the single-thread closures). Each barrier round
+    starts with one pass over the CTA that releases the threads waiting at
+    a barrier and puts every running thread in the pending group of its
+    pc. From then on the schedule tracks where every running thread
+    waits: the group at the lowest pc runs as the batch, a two-way branch
+    on a register partitions the batch in the loop that writes the
+    threads' pcs, the side bound for the higher target waits in the group
+    at that pc, and a batch that reaches a group's pc joins it. The round
+    ends when every thread has stopped at a barrier or returned. No other
+    exit splits a batch: at a trap, a branch to an out-of-range label or
+    an instruction naming a bad register, a batch's threads agree on the
+    next pc or one of them raises. Every batch holds the running threads
+    at the lowest pc, in an order nothing observes. A block entry adds
+    the batch size to its count, so [Stats] and the profile are
+    unchanged. This reorders the instructions of different threads
+    between two barriers, which nothing can observe: registers are per
+    thread, the gate certified shared memory race-free and global stores
+    disjoint across threads, and no thread loads a buffer any thread
+    stores. A batch that holds every live thread of its CTA (or a lone
+    thread that is its CTA's last live one) goes on through a [Bar]
+    without the release round: it would be released at once and the next
+    round would start with exactly that batch at the next pc. A batched
+    CTA logs the old word of every global store; if it faults, or meets a
+    block its remaining budget slice does not cover, its stores are undone
+    and it re-runs per-thread with a fresh slice, raising exactly the
+    per-thread fault, after exactly its partial writes. Other launches run
+    per-thread.
 
     {b Register file.} One register file per worker holds [reg_count]
     registers per thread: after -O3's register allocation a few dozen
@@ -118,8 +119,8 @@ val run :
     worker's [batched] CTA count, [mean_batch] (its threads per block
     execution on the batched schedule), [regs] (its register-file words,
     [reg_count * cta]), [barrier_passes] (barriers a whole-CTA batch
-    went through without a release) and [rescans] (scans of a batched
-    CTA's running threads for the next batch); the simulated timeline is
+    went through without a release) and [rescans] (barrier rounds of its
+    batched CTAs, each one pass over the CTA); the simulated timeline is
     untouched (the executor owns the launch span). *)
 
 val with_launch_observer :

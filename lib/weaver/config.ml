@@ -2,7 +2,6 @@ open Gpu_sim
 
 type t = {
   device : Device.t;
-  timing : Timing.params;
   cta_threads : int;
   cap : int;
   min_cap : int;
@@ -27,7 +26,6 @@ type t = {
 let default =
   {
     device = Device.fermi_c2050;
-    timing = Timing.default_params;
     cta_threads = 128;
     cap = 256;
     min_cap = 32;

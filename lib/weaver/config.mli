@@ -1,4 +1,5 @@
-(** Weaver configuration: device, cost model and skeleton tuning knobs.
+(** Weaver configuration: device and skeleton tuning knobs; the cost model
+    is {!Gpu_sim.Timing.default_params}.
 
     The paper picks one kernel configuration (CTA and thread dimensions)
     that works well across the micro-benchmarks (§4.1); [cta_threads] and
@@ -10,7 +11,6 @@ open Gpu_sim
 
 type t = {
   device : Device.t;
-  timing : Timing.params;
   cta_threads : int;  (** threads per CTA for compute/gather kernels *)
   cap : int;  (** target driving rows per CTA (tile capacity seed) *)
   min_cap : int;  (** below this the layout gives up (group infeasible) *)
@@ -96,7 +96,7 @@ type t = {
 }
 
 val default : t
-(** Fermi C2050, default timing, 128 threads/CTA, 256-row tiles,
+(** Fermi C2050, 128 threads/CTA, 256-row tiles,
     sequential interpretation ([jobs = 1]). *)
 
 val with_jobs : t -> int -> t

@@ -41,6 +41,13 @@ type comparison = {
   unfused_program : Runtime.program;
 }
 
+val results_agree :
+  (int * Relation_lib.Relation.t) list -> (int * Relation_lib.Relation.t) list -> bool
+(** Whether two runs' sinks agree, pairwise in order: the same sink ids,
+    and relations equal as multisets, except that a relation with a float
+    attribute compares approximately ({!Relation_lib.Relation.approx_equal}:
+    f32 reassociation differs across schedules and plans). *)
+
 val compare_fusion :
   ?config:Config.t ->
   ?opt:Optimizer.level ->

@@ -223,7 +223,6 @@ let compute ?fixed_cap ?seg_expansion (config : Config.t) plan ir =
                  (budget %d)"
                 l.shared_bytes cap budget))
   | None ->
-  let () = () in
   (* Among fitting capacities prefer the largest that still keeps the SM
      busy: a maximal tile that leaves one resident CTA starves the
      latency-hiding the cost model (and a real GPU) depends on.  The
@@ -232,7 +231,7 @@ let compute ?fixed_cap ?seg_expansion (config : Config.t) plan ir =
     Gpu_sim.Occupancy.occupancy device ~cta_threads:config.cta_threads
       ~shared_bytes:l.shared_bytes ~regs_per_thread:l.regs_per_thread
   in
-  let target = config.timing.Gpu_sim.Timing.compute_saturation_occupancy in
+  let target = Gpu_sim.Timing.default_params.compute_saturation_occupancy in
   let rec candidates cap acc =
     let l = attempt ?seg_expansion config plan ir cap in
     let acc = if l.shared_bytes <= budget then l :: acc else acc in
@@ -282,5 +281,3 @@ let estimate config plan group =
       }
   | exception Fusion.Infeasible _ ->
       { Selection.regs_per_thread = max_int; shared_bytes = max_int }
-
-let attempt_debug c p i cap = attempt c p i cap

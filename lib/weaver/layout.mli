@@ -55,9 +55,3 @@ val estimate : Config.t -> Qplan.Plan.t -> int list -> Qplan.Selection.estimate
 (** Algorithm 2's callback: builds the group IR and lays it out; an
     infeasible group reports an over-budget estimate so selection splits
     it. *)
-
-(**/**)
-
-val attempt_debug : Config.t -> Qplan.Plan.t -> Fusion.t -> int -> t
-(** Internal: one layout attempt at a fixed capacity (no fitting loop);
-    exposed for debugging tools and tests. *)

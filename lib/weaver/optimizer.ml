@@ -159,15 +159,29 @@ let value_numbering (k : Kir.kernel) =
         if j >= 0 && j < Array.length prov then
           prov.(j) <- prov_union prov.(j) (prov_at i)
   in
+  (* [d := src], a copy of a value known at [i] *)
+  let copy i d src =
+    body.(i) <- Kir.Mov (d, operand_of src);
+    define d;
+    Hashtbl.replace copies d (version.(d), src)
+  in
+  (* [d := key] at [i]: a copy of a still-valid earlier value of [key], or
+     [ins] defining a new one *)
+  let number i d key ins =
+    match Hashtbl.find_opt exprs key with
+    | Some src when rop_valid src ->
+        share i src;
+        copy i d src
+    | _ ->
+        body.(i) <- ins;
+        define d;
+        Hashtbl.replace exprs key (RRegv (d, version.(d)))
+  in
   for i = 0 to n - 1 do
     cur := i;
     if boundary.(i) then reset_block ();
     (match body.(i) with
-    | Kir.Mov (d, a) ->
-        let ra = resolve a in
-        body.(i) <- Kir.Mov (d, operand_of ra);
-        define d;
-        Hashtbl.replace copies d (version.(d), ra)
+    | Kir.Mov (d, a) -> copy i d (resolve a)
     | Kir.Bin (op, d, a, b) -> (
         let ra = resolve a and rb = resolve b in
         let ra, rb =
@@ -182,88 +196,32 @@ let value_numbering (k : Kir.kernel) =
         in
         match (ra, rb) with
         | RImm x, RImm y when fold_bin op x y <> None ->
-            let v = Option.get (fold_bin op x y) in
-            body.(i) <- Kir.Mov (d, Kir.Imm v);
-            define d;
-            Hashtbl.replace copies d (version.(d), RImm v)
+            copy i d (RImm (Option.get (fold_bin op x y)))
         | _ when identity op ra rb <> None ->
-            let src = Option.get (identity op ra rb) in
-            body.(i) <- Kir.Mov (d, operand_of src);
-            define d;
-            Hashtbl.replace copies d (version.(d), src)
-        | _ -> (
-            let key = KBin (op, ra, rb) in
-            match Hashtbl.find_opt exprs key with
-            | Some src when rop_valid src ->
-                share i src;
-                body.(i) <- Kir.Mov (d, operand_of src);
-                define d;
-                Hashtbl.replace copies d (version.(d), src)
-            | _ ->
-                body.(i) <- Kir.Bin (op, d, operand_of ra, operand_of rb);
-                define d;
-                Hashtbl.replace exprs key (RRegv (d, version.(d)))))
+            copy i d (Option.get (identity op ra rb))
+        | _ ->
+            number i d (KBin (op, ra, rb))
+              (Kir.Bin (op, d, operand_of ra, operand_of rb)))
     | Kir.Un (op, d, a) -> (
         let ra = resolve a in
         match ra with
         | RImm x when fold_un op x <> None ->
-            let v = Option.get (fold_un op x) in
-            body.(i) <- Kir.Mov (d, Kir.Imm v);
-            define d;
-            Hashtbl.replace copies d (version.(d), RImm v)
-        | _ -> (
-            let key = KUn (op, ra) in
-            match Hashtbl.find_opt exprs key with
-            | Some src when rop_valid src ->
-                share i src;
-                body.(i) <- Kir.Mov (d, operand_of src);
-                define d;
-                Hashtbl.replace copies d (version.(d), src)
-            | _ ->
-                body.(i) <- Kir.Un (op, d, operand_of ra);
-                define d;
-                Hashtbl.replace exprs key (RRegv (d, version.(d)))))
+            copy i d (RImm (Option.get (fold_un op x)))
+        | _ -> number i d (KUn (op, ra)) (Kir.Un (op, d, operand_of ra)))
     | Kir.Cmp (c, d, a, b) -> (
         let ra = resolve a and rb = resolve b in
         match (ra, rb) with
-        | RImm x, RImm y ->
-            let v = fold_cmp c x y in
-            body.(i) <- Kir.Mov (d, Kir.Imm v);
-            define d;
-            Hashtbl.replace copies d (version.(d), RImm v)
-        | _ -> (
-            let key = KCmp (c, ra, rb) in
-            match Hashtbl.find_opt exprs key with
-            | Some src when rop_valid src ->
-                share i src;
-                body.(i) <- Kir.Mov (d, operand_of src);
-                define d;
-                Hashtbl.replace copies d (version.(d), src)
-            | _ ->
-                body.(i) <- Kir.Cmp (c, d, operand_of ra, operand_of rb);
-                define d;
-                Hashtbl.replace exprs key (RRegv (d, version.(d)))))
+        | RImm x, RImm y -> copy i d (RImm (fold_cmp c x y))
+        | _ ->
+            number i d (KCmp (c, ra, rb))
+              (Kir.Cmp (c, d, operand_of ra, operand_of rb)))
     | Kir.Sel (d, c, a, b) -> (
         let rc = resolve c and ra = resolve a and rb = resolve b in
         match rc with
-        | RImm v ->
-            let src = if v <> 0 then ra else rb in
-            body.(i) <- Kir.Mov (d, operand_of src);
-            define d;
-            Hashtbl.replace copies d (version.(d), src)
-        | _ -> (
-            let key = KSel (rc, ra, rb) in
-            match Hashtbl.find_opt exprs key with
-            | Some src when rop_valid src ->
-                share i src;
-                body.(i) <- Kir.Mov (d, operand_of src);
-                define d;
-                Hashtbl.replace copies d (version.(d), src)
-            | _ ->
-                body.(i) <-
-                  Kir.Sel (d, operand_of rc, operand_of ra, operand_of rb);
-                define d;
-                Hashtbl.replace exprs key (RRegv (d, version.(d)))))
+        | RImm v -> copy i d (if v <> 0 then ra else rb)
+        | _ ->
+            number i d (KSel (rc, ra, rb))
+              (Kir.Sel (d, operand_of rc, operand_of ra, operand_of rb)))
     | Kir.Ld { space; dst; base; idx; width } -> (
         let rb = resolve base and ri = resolve idx in
         match Hashtbl.find_opt loads (space, rb, ri) with

@@ -220,9 +220,8 @@ let count_retry st ~action ~estimate ?args event =
 
 let launch st kernel ~params ~grid ~cta =
   let r =
-    Executor.launch ~timing:(config st).Config.timing
-      ~jobs:(config st).Config.jobs ~faults:st.run.faults ~cancel:st.run.cancel
-      ~trace:st.run.trace
+    Executor.launch ~jobs:(config st).Config.jobs ~faults:st.run.faults
+      ~cancel:st.run.cancel ~trace:st.run.trace
       ~attrib:(config st).Config.attrib
       (device st) st.mem kernel ~params ~grid ~cta
   in
@@ -262,8 +261,7 @@ let transfer st dir ~bytes =
 
 let synth_report ?ops st name stats =
   let time =
-    Timing.kernel_time ~params:(config st).Config.timing (device st)
-      ~occupancy:1.0 stats
+    Timing.kernel_time (device st) ~occupancy:1.0 stats
   in
   (* Synthesized launches have no per-pc profile; when the run attributes
      costs, credit the whole report's events to the owning operators

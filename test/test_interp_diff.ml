@@ -58,7 +58,8 @@ let same_outcome a b =
 (* The sum of one integer argument of the interpreter's worker-lane
    spans: [batched] counts CTAs run on the batched schedule,
    [barrier_passes] barriers a whole-CTA batch went through unreleased,
-   [rescans] the batched schedule's scans of a CTA's running threads. *)
+   [rescans] the batched schedule's barrier rounds, each one pass over a
+   CTA. *)
 let span_sum name trace =
   List.fold_left
     (fun acc (e : Weaver_obs.Trace.event) ->
@@ -188,8 +189,8 @@ let test_goldens () =
   (* ... and the whole-CTA barrier pass, not only the release round *)
   if span_count "barrier_passes" "Q21" "group0_compute" = 0 then
     Alcotest.fail "Q21/group0_compute passed no barrier in one batch";
-  (* once its batch holds every thread, Q1's compute kernel splits and
-     rejoins without a rescan: one scan per CTA *)
+  (* Q1's compute kernel splits and rejoins within one barrier round per
+     CTA *)
   let rescans = span_count "rescans" "Q1" "group0_compute" in
   let ctas = span_count "ctas" "Q1" "group0_compute" in
   if rescans > ctas then
@@ -701,17 +702,17 @@ let test_barrier_fault_after_pass () =
   | Fault.Div_by_zero { kernel } -> Alcotest.(check string) "kernel" "bar_then_div" kernel
   | f -> Alcotest.failf "unexpected fault %s" (Fault.render f)
 
-(* --- splits without rescans ------------------------------------------ *)
+(* --- splits and pending groups ----------------------------------------- *)
 
-(* Once a batch holds every running thread of its CTA, the schedule
-   tracks where each running thread waits: a branch that splits the batch
-   goes on with its lower side and parks the other side in a group at its
-   pc, a batch that reaches a group's pc joins it, and the group at the
-   lowest pc runs next, so no rescan of the CTA's threads is needed. The
-   kernels below are checked like [check_barriers], over two CTAs of eight
-   threads at jobs 1 and 4 and under every budget, so exhaustion also
-   lands on the block right after each split. They pin how often the
-   schedule scanned the running threads and passed a barrier whole: the
+(* Each barrier round parks every running thread in the group of its pc,
+   and from then on the schedule tracks where each running thread waits:
+   a branch that splits the batch goes on with its lower side and parks
+   the other side in a group at its pc, a batch that reaches a group's pc
+   joins it, and the group at the lowest pc runs next. The kernels below
+   are checked like [check_barriers], over two CTAs of eight threads at
+   jobs 1 and 4 and under every budget, so exhaustion also lands on the
+   block right after each split. They pin the schedule's barrier rounds
+   (the [rescans] argument) and how often it passed a barrier whole: the
    oracle cannot see which threads ran together, these counts can. *)
 let check_schedule ~what mem k ~params ~rescans ~passes =
   let got_passes = check_barriers ~what ~cta:8 mem k ~params in
@@ -745,7 +746,7 @@ let trips_mod m b =
   Kir_builder.(bin b Kir.Add (Kir.Reg (bin b Kir.Rem tid (Kir.Imm m))) (Kir.Imm 1))
 
 (* Threads loop once or twice: the leavers wait at the loop exit and the
-   others join them there, so each CTA is scanned once and reaches its
+   others join them there, so each CTA takes one round and reaches its
    barrier whole. *)
 let test_split_backward_loop () =
   let k = loop_kernel ~name:"loop_two_trips" (trips_mod 2) in
@@ -755,7 +756,7 @@ let test_split_backward_loop () =
 
 (* One to three trips with an [if] inside: the even threads' skip of the
    [if] waits in a group below the loop exit's, while the odd ones run
-   its body; later leavers join the exit's group. Still one scan per
+   its body; later leavers join the exit's group. Still one round per
    CTA. *)
 let test_split_nested () =
   let k = loop_kernel ~name:"loop_nested_if" ~inner:true (trips_mod 3) in
@@ -832,9 +833,9 @@ let test_split_fault_pending () =
     [ 3; 4 ]
 
 (* Odd and even threads wait at different barriers, so after the release
-   they resume at two pcs and the rescan leaves the evens above the odds:
-   the odds' [if tid < 4] split goes on with its lower side, and every
-   meeting of pcs takes a rescan, five per CTA. *)
+   they resume at two pcs: the round's pass parks the evens above the
+   odds, the odds' [if tid < 4] split goes on with its lower side, and the
+   sides meet in groups. One pass per round, two rounds per CTA. *)
 let test_split_after_divergent_barriers () =
   let b = Kir_builder.create ~name:"two_barriers" ~params:1 () in
   let open Kir_builder in
@@ -853,8 +854,86 @@ let test_split_after_divergent_barriers () =
   let k = finish b in
   let mem = Memory.create device in
   let out = alloc mem 16 in
-  check_schedule ~what:"divergent barriers" mem k ~params:[| out |] ~rescans:10
+  check_schedule ~what:"divergent barriers" mem k ~params:[| out |] ~rescans:4
     ~passes:0
+
+(* Threads wait at three barriers by [tid mod 3], so the release leaves
+   them at three pcs: the round's pass parks three groups, which run
+   lowest pc first and meet at the store. Two rounds per CTA. *)
+let test_release_three_pcs () =
+  let b = Kir_builder.create ~name:"three_barriers" ~params:1 () in
+  let open Kir_builder in
+  let row = bin b Kir.Add (Kir.Reg (bin b Kir.Mul ctaid (Kir.Imm 8))) tid in
+  let m = bin b Kir.Rem tid (Kir.Imm 3) in
+  let v = fresh b in
+  let arm c f = if_else b (Kir.Reg (cmp b Kir.Eq (Kir.Reg m) (Kir.Imm c))) (fun () -> bar b; f ()) in
+  arm 0
+    (fun () -> bin_to b v Kir.Mul tid (Kir.Imm 2))
+    (fun () ->
+      arm 1
+        (fun () -> bin_to b v Kir.Add tid (Kir.Imm 100))
+        (fun () ->
+          bar b;
+          bin_to b v Kir.Sub (Kir.Imm 1000) tid));
+  st b Kir.Global ~base:(param b 0) ~idx:(Kir.Reg row) ~src:(Kir.Reg v) ~width:4;
+  let k = finish b in
+  let mem = Memory.create device in
+  let out = alloc mem 16 in
+  check_schedule ~what:"three barriers" mem k ~params:[| out |] ~rescans:4 ~passes:0
+
+(* [out[row] := tid + 1]; then thread [p] leaves the whole-CTA batch,
+   under [if tid = p] for a trap, or by a branch to a label that does not
+   exist, whose exit the batch evaluates for every thread; [out2[row] :=
+   tid]. A batch's threads agree on where such an exit goes or one of
+   them raises: here the batched run raises, rolls back and re-runs
+   per-thread, raising the per-thread fault after threads [0 .. p-1] ran
+   to the end and thread [p] stored once. *)
+let test_trap_in_batch () =
+  let trap = Fault.capacity_trap ~op:2 ~segment:0 ~which:Fault.Cap_staging ~have:8 () in
+  let kernel name leave =
+    let b = Kir_builder.create ~name ~params:3 () in
+    let open Kir_builder in
+    let row = bin b Kir.Add (Kir.Reg (bin b Kir.Mul ctaid (Kir.Imm 8))) tid in
+    let t1 = bin b Kir.Add tid (Kir.Imm 1) in
+    st b Kir.Global ~base:(param b 0) ~idx:(Kir.Reg row) ~src:(Kir.Reg t1) ~width:4;
+    leave b (Kir.Reg (cmp b Kir.Eq tid (param b 2)));
+    st b Kir.Global ~base:(param b 1) ~idx:(Kir.Reg row) ~src:tid ~width:4;
+    finish b
+  in
+  let guarded =
+    kernel "trap_guard" (fun b hit ->
+        Kir_builder.(if_ b hit (fun () -> emit b (Kir.Trap (trap, None)))))
+  and wild = kernel "wild_branch" (fun b hit -> Kir_builder.brnz b hit 99) in
+  List.iter
+    (fun (k, expect) ->
+      let mem = Memory.create device in
+      let out = alloc mem 16 and out2 = alloc mem 16 in
+      check_batched ~what:"no thread leaves" mem k ~cta:8 ~params:[| out; out2; 100 |];
+      let k = { k with Kir.stores_disjoint = true } in
+      let params = [| out; out2; 5 |] in
+      check_fused ~what:"thread 5 leaves" ~grid:2 ~cta:8 mem k ~params;
+      let mem = Memory.create device in
+      let out = alloc mem 16 and out2 = alloc mem 16 in
+      (match Interp.run mem k ~params:[| out; out2; 5 |] ~grid:2 ~cta:8 with
+      | _ -> Alcotest.failf "%s: no fault" k.Kir.kname
+      | exception e -> expect e);
+      Alcotest.(check (array int)) "threads 0-5 stored once"
+        (Array.init 16 (fun i -> if i < 6 then i + 1 else 0))
+        (Memory.data mem out);
+      Alcotest.(check (array int)) "threads 0-4 stored twice"
+        (Array.init 16 (fun i -> if i < 5 then i else 0))
+        (Memory.data mem out2))
+    [
+      ( guarded,
+        function
+        | Fault.Error (Fault.Capacity_trap c) ->
+            Alcotest.(check string) "kernel" "trap_guard" c.kernel
+        | e -> Alcotest.failf "unexpected %s" (Printexc.to_string e) );
+      ( wild,
+        function
+        | Invalid_argument _ -> ()
+        | e -> Alcotest.failf "unexpected %s" (Printexc.to_string e) );
+    ]
 
 let suite =
   [
@@ -891,4 +970,7 @@ let suite =
       test_split_fault_pending;
     Alcotest.test_case "split after divergent barriers" `Quick
       test_split_after_divergent_barriers;
+    Alcotest.test_case "release to three pcs" `Quick test_release_three_pcs;
+    Alcotest.test_case "one thread leaves a whole-CTA batch" `Quick
+      test_trap_in_batch;
   ]

@@ -186,21 +186,6 @@ let build_random seed =
       Printf.sprintf "seed=%d ops=[%s]" seed (String.concat "," (List.rev !descs));
   }
 
-let results_match a b =
-  List.for_all2
-    (fun (i1, r1) (i2, r2) ->
-      i1 = i2
-      &&
-      let s = Relation.schema r1 in
-      let has_float =
-        List.exists
-          (fun j -> Dtype.is_float (Schema.dtype s j))
-          (List.init (Schema.arity s) Fun.id)
-      in
-      if has_float then Relation.approx_equal r1 r2
-      else Relation.equal_multiset r1 r2)
-    a b
-
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000)
 
 let fusion_correct seed =
@@ -210,7 +195,10 @@ let fusion_correct seed =
     Weaver.Driver.compare_fusion plan bases ~mode:Weaver.Runtime.Resident
   in
   (* compare_fusion already checks fused == unfused; check vs oracle *)
-  if not (results_match reference cmp.Weaver.Driver.fused.Weaver.Runtime.sinks)
+  if
+    not
+      (Weaver.Driver.results_agree reference
+         cmp.Weaver.Driver.fused.Weaver.Runtime.sinks)
   then QCheck.Test.fail_reportf "mismatch vs reference: %s" desc
   else true
 
@@ -229,8 +217,8 @@ let prop_streamed_matches_resident =
       let program = Weaver.Driver.compile plan in
       let a = Weaver.Driver.run program bases ~mode:Weaver.Runtime.Resident in
       let b = Weaver.Driver.run program bases ~mode:Weaver.Runtime.Streamed in
-      if not (results_match a.Weaver.Runtime.sinks b.Weaver.Runtime.sinks) then
-        QCheck.Test.fail_reportf "mode mismatch: %s" desc
+      if not (Weaver.Driver.results_agree a.Weaver.Runtime.sinks b.Weaver.Runtime.sinks)
+      then QCheck.Test.fail_reportf "mode mismatch: %s" desc
       else true)
 
 let prop_opt_levels_agree =
@@ -240,8 +228,8 @@ let prop_opt_levels_agree =
       let p3 = Weaver.Driver.compile ~opt:Weaver.Optimizer.O3 plan in
       let a = Weaver.Driver.run p0 bases ~mode:Weaver.Runtime.Resident in
       let b = Weaver.Driver.run p3 bases ~mode:Weaver.Runtime.Resident in
-      if not (results_match a.Weaver.Runtime.sinks b.Weaver.Runtime.sinks) then
-        QCheck.Test.fail_reportf "opt mismatch: %s" desc
+      if not (Weaver.Driver.results_agree a.Weaver.Runtime.sinks b.Weaver.Runtime.sinks)
+      then QCheck.Test.fail_reportf "opt mismatch: %s" desc
       else true)
 
 let prop_tiny_device =
@@ -266,7 +254,7 @@ let prop_tiny_device =
       | cmp ->
           if
             not
-              (results_match reference
+              (Weaver.Driver.results_agree reference
                  cmp.Weaver.Driver.fused.Weaver.Runtime.sinks)
           then QCheck.Test.fail_reportf "tiny-device mismatch: %s" desc
           else true
@@ -296,7 +284,9 @@ let prop_deadlines_sound =
       (match batch (t +. 1.0) with
       | [ { Weaver.Service.verdict = Weaver.Service.Completed r; _ } ], _ ->
           if
-            not (results_match solo.Weaver.Runtime.sinks r.Weaver.Runtime.sinks)
+            not
+              (Weaver.Driver.results_agree solo.Weaver.Runtime.sinks
+                 r.Weaver.Runtime.sinks)
           then
             QCheck.Test.fail_reportf "sufficient-deadline answer changed: %s"
               desc

@@ -148,24 +148,28 @@ let prop_rewrite_preserves =
       then true
       else QCheck.Test.fail_reportf "rewrite changed results: %s" desc)
 
+(* float aggregates compare approximately, as fused and unfused sinks do *)
+let rewrite_runs_on_device seed =
+  let { Test_property.plan; bases; desc } =
+    Test_property.build_random (seed + 23_000_000)
+  in
+  let p' = Rewrite.optimize plan in
+  let reference = Reference.eval_sinks p' bases in
+  let cmp = Weaver.Driver.compare_fusion p' bases ~mode:Weaver.Runtime.Resident in
+  if Weaver.Driver.results_agree reference cmp.Weaver.Driver.fused.Weaver.Runtime.sinks
+  then true
+  else QCheck.Test.fail_reportf "rewritten plan wrong on device: %s" desc
+
 let prop_rewrite_runs_on_device =
   QCheck.Test.make ~name:"rewritten plans execute correctly" ~count:40
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
-    (fun seed ->
-      let { Test_property.plan; bases; desc } =
-        Test_property.build_random (seed + 23_000_000)
-      in
-      let p' = Rewrite.optimize plan in
-      let reference = Reference.eval_sinks p' bases in
-      let cmp =
-        Weaver.Driver.compare_fusion p' bases ~mode:Weaver.Runtime.Resident
-      in
-      if
-        List.for_all2
-          (fun (_, a) (_, b) -> Relation.equal_multiset a b)
-          reference cmp.Weaver.Driver.fused.Weaver.Runtime.sinks
-      then true
-      else QCheck.Test.fail_reportf "rewritten plan wrong on device: %s" desc)
+    rewrite_runs_on_device
+
+(* input 83635's 134-row sink holds f32 aggregates that the device and
+   the reference round differently *)
+let test_rewrite_83635 () =
+  Alcotest.(check bool) "rewritten plan 83635 on device" true
+    (rewrite_runs_on_device 83635)
 
 let suite =
   [
@@ -175,6 +179,7 @@ let suite =
     ("merge selects", `Quick, test_merge_selects);
     ("multi-consumer blocks rewrite", `Quick, test_no_rewrite_multi_consumer);
     ("rewriting enlarges fusion", `Quick, test_optimize_enlarges_fusion);
+    ("rewritten plan 83635", `Quick, test_rewrite_83635);
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_rewrite_preserves; prop_rewrite_runs_on_device ]
