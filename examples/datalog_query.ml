@@ -25,13 +25,13 @@ let () =
   let premium_schema = Qplan.Plan.base_schema q.Datalog.plan 1 in
   let orders =
     Rel_ops.map orders_schema
-      (fun t -> [| t.(0); t.(1); t.(2) mod 4 |])
+      [| (fun d o -> d.(o)); (fun d o -> d.(o + 1)); (fun d o -> d.(o + 2) mod 4) |]
       (Generator.random_relation ~key_range:2000 ~sorted_key_arity:1 st
          orders_schema ~count:20_000)
   in
   let premium =
     Rel_ops.map premium_schema
-      (fun t -> [| t.(0); 2010 + (t.(1) mod 10) |])
+      [| (fun d o -> d.(o)); (fun d o -> 2010 + (d.(o + 1) mod 10)) |]
       (Generator.random_relation ~key_range:2000 ~sorted_key_arity:1 st
          premium_schema ~count:1_000)
   in

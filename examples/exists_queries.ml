@@ -19,7 +19,7 @@ let data seed n =
   let st = Generator.make_state seed in
   let orders =
     Rel_ops.map orders_s
-      (fun t -> [| t.(0); t.(1) mod 1000 |])
+      [| (fun d o -> d.(o)); (fun d o -> d.(o + 1) mod 1000) |]
       (Generator.random_relation ~key_range:(n / 4) ~sorted_key_arity:1 st
          orders_s ~count:n)
   in

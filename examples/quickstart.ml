@@ -39,7 +39,7 @@ let () =
   (* amounts in 0..1000, regions in 0..5 *)
   let sales_rel =
     Rel_ops.map sales
-      (fun t -> [| t.(0); t.(1) mod 1000; t.(2) mod 6 |])
+      [| (fun d o -> d.(o)); (fun d o -> d.(o + 1) mod 1000); (fun d o -> d.(o + 2) mod 6) |]
       sales_rel
   in
   let cust_rel =

@@ -44,8 +44,8 @@ let saturation ~at ~floor occupancy =
   if at <= 0.0 then 1.0
   else Float.max floor (Float.min 1.0 (occupancy /. at))
 
-let kernel_time ?(params = default_params) (d : Device.t) ~occupancy
-    (s : Stats.t) =
+let kernel_time (d : Device.t) ~occupancy (s : Stats.t) =
+  let params = default_params in
   let thread_cycles =
     (float_of_int s.Stats.instructions *. params.alu_cycles)
     +. float_of_int (s.Stats.shared_loads + s.Stats.shared_stores)

@@ -44,11 +44,10 @@ type kernel_time = {
   total_cycles : float;  (** launch + max(compute, memory) *)
 }
 
-val kernel_time :
-  ?params:params -> Device.t -> occupancy:float -> Stats.t -> kernel_time
+val kernel_time : Device.t -> occupancy:float -> Stats.t -> kernel_time
 (** Simulated execution time of one kernel whose dynamic events are [stats]
     and whose achieved occupancy (active warps / max warps per SM, in
-    [0, 1]) is [occupancy]. *)
+    [0, 1]) is [occupancy], under {!default_params}. *)
 
 val cycles_to_seconds : Device.t -> float -> float
 (** Convert SM cycles to wall-clock seconds at the device clock. *)

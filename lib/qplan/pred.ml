@@ -57,53 +57,91 @@ let f32 x = Value.to_f32 (Value.of_f32 x)
 (* An operand as the float the device computes with: an f32 decodes as
    stored, an int widens through binary32 exactly as the device's I2f
    rounds it. *)
-let as_float t v =
-  if Dtype.is_float t then Value.to_f32 v else f32 (float_of_int v)
+let[@inline] as_float is_float v =
+  if is_float then Value.to_f32 v else f32 (float_of_int v)
 
-let rec eval_expr schema tup e =
+(* A node whose typing raises compiles to a function that raises the same
+   exception, so a row raises exactly where the tree-walking evaluator
+   did: at every row that reaches the node, and at no other. *)
+let typed f k =
+  match f () with exception (Type_error _ as e) -> fun _ _ -> raise e | t -> k t
+
+let rec compile_expr schema e =
   match e with
-  | Attr i -> tup.(i)
-  | Int n -> n
-  | F32 f -> Value.of_f32 f
+  | Attr i ->
+      if i < 0 || i >= Schema.arity schema then fun _ _ ->
+        invalid_arg "index out of bounds"
+      else fun d o -> d.(o + i)
+  | Int n -> fun _ _ -> n
+  | F32 f ->
+      let w = Value.of_f32 f in
+      fun _ _ -> w
   | Bin (op, a, b) ->
-      let ta = type_of_expr schema a and tb = type_of_expr schema b in
-      let va = eval_expr schema tup a and vb = eval_expr schema tup b in
-      if Dtype.is_float (type_of_expr schema e) then
-        let fa = as_float ta va and fb = as_float tb vb in
-        Value.of_f32
-          (match op with
-          | Add -> f32 (fa +. fb)
-          | Sub -> f32 (fa -. fb)
-          | Mul -> f32 (fa *. fb)
-          | Div -> f32 (fa /. fb))
-      else
-        match op with
-        | Add -> va + vb
-        | Sub -> va - vb
-        | Mul -> va * vb
-        | Div ->
-            if vb = 0 then type_error "integer division by zero" else va / vb
+      typed
+        (fun () ->
+          let ta = type_of_expr schema a and tb = type_of_expr schema b in
+          (ta, tb))
+        (fun (ta, tb) ->
+          let ca = compile_expr schema a and cb = compile_expr schema b in
+          if Dtype.is_float (type_of_expr schema e) then
+            let fla = Dtype.is_float ta and flb = Dtype.is_float tb in
+            fun d o ->
+              let va = ca d o and vb = cb d o in
+              let fa = as_float fla va and fb = as_float flb vb in
+              Value.of_f32
+                (match op with
+                | Add -> f32 (fa +. fb)
+                | Sub -> f32 (fa -. fb)
+                | Mul -> f32 (fa *. fb)
+                | Div -> f32 (fa /. fb))
+          else fun d o ->
+            let va = ca d o and vb = cb d o in
+            match op with
+            | Add -> va + vb
+            | Sub -> va - vb
+            | Mul -> va * vb
+            | Div ->
+                if vb = 0 then type_error "integer division by zero"
+                else va / vb)
 
-let rec eval schema tup = function
-  | True -> true
-  | Not p -> not (eval schema tup p)
-  | And (a, b) -> eval schema tup a && eval schema tup b
-  | Or (a, b) -> eval schema tup a || eval schema tup b
+let rec compile schema = function
+  | True -> fun _ _ -> true
+  | Not p ->
+      let c = compile schema p in
+      fun d o -> not (c d o)
+  | And (a, b) ->
+      let ca = compile schema a and cb = compile schema b in
+      fun d o -> ca d o && cb d o
+  | Or (a, b) ->
+      let ca = compile schema a and cb = compile schema b in
+      fun d o -> ca d o || cb d o
   | Cmp (c, a, b) ->
-      let ta = type_of_expr schema a and tb = type_of_expr schema b in
-      let va = eval_expr schema tup a and vb = eval_expr schema tup b in
-      let r =
-        if Dtype.is_float ta || Dtype.is_float tb then
-          Float.compare (as_float ta va) (as_float tb vb)
-        else Int.compare va vb
-      in
-      (match c with
-      | Eq -> r = 0
-      | Ne -> r <> 0
-      | Lt -> r < 0
-      | Le -> r <= 0
-      | Gt -> r > 0
-      | Ge -> r >= 0)
+      typed
+        (fun () ->
+          let ta = type_of_expr schema a and tb = type_of_expr schema b in
+          (ta, tb))
+        (fun (ta, tb) ->
+          let ca = compile_expr schema a and cb = compile_expr schema b in
+          let holds r =
+            match c with
+            | Eq -> r = 0
+            | Ne -> r <> 0
+            | Lt -> r < 0
+            | Le -> r <= 0
+            | Gt -> r > 0
+            | Ge -> r >= 0
+          in
+          if Dtype.is_float ta || Dtype.is_float tb then
+            let fla = Dtype.is_float ta and flb = Dtype.is_float tb in
+            fun d o ->
+              let va = ca d o and vb = cb d o in
+              holds (Float.compare (as_float fla va) (as_float flb vb))
+          else fun d o ->
+            let va = ca d o and vb = cb d o in
+            holds (Int.compare va vb))
+
+let eval_expr schema tup e = compile_expr schema e tup 0
+let eval schema tup p = compile schema p tup 0
 
 let rec expr_attrs = function
   | Attr i -> [ i ]

@@ -1,5 +1,64 @@
 open Relation_lib
 
+(* One aggregate over the members [perm.(lo) .. perm.(hi - 1)] of a group
+   (rows of [d], [ar] words each), in input order. Every member's value is
+   computed before the expression's dtype is read, so an expression that
+   only fails to type (COUNT or AVG of a boolean attribute, which the
+   output schema does not type) raises after the same rows it always did. *)
+(* [acc +. x], where a NaN [x] is the result even when [acc] is NaN too:
+   the NaN a running sum keeps is fixed here, not by which operand the
+   compiler's register allocation puts first (x86 keeps the first one's),
+   and it is the one the list fold that preceded this engine kept. *)
+let[@inline] add acc x = if Float.is_nan x then x else acc +. x
+
+let agg_value (fn : Op.agg_fn) f dt d ar perm lo hi =
+  let v i = f d (perm.(i) * ar) in
+  match dt with
+  | Error e ->
+      for i = lo to hi - 1 do
+        ignore (v i)
+      done;
+      raise e
+  | Ok dt -> (
+      match fn with
+      | Count ->
+          for i = lo to hi - 1 do
+            ignore (v i)
+          done;
+          hi - lo
+      | Sum ->
+          if Dtype.is_float dt then begin
+            (* accumulate in f32 like the device does *)
+            let acc = ref 0.0 in
+            for i = lo to hi - 1 do
+              acc := add !acc (Value.to_f32 (v i));
+              acc := Value.to_f32 (Value.of_f32 !acc)
+            done;
+            Value.of_f32 !acc
+          end
+          else begin
+            let acc = ref 0 in
+            for i = lo to hi - 1 do
+              acc := !acc + v i
+            done;
+            !acc
+          end
+      | Min | Max ->
+          let sign = if fn = Min then -1 else 1 in
+          let acc = ref (v lo) in
+          for i = lo + 1 to hi - 1 do
+            let x = v i in
+            if sign * Value.compare_as dt x !acc > 0 then acc := x
+          done;
+          !acc
+      | Avg ->
+          let acc = ref 0.0 in
+          for i = lo to hi - 1 do
+            let x = v i in
+            acc := add !acc (if Dtype.is_float dt then Value.to_f32 x else float_of_int x)
+          done;
+          Value.of_f32 (!acc /. float_of_int (hi - lo)))
+
 let eval_aggregate ~group_by ~aggs rel =
   let schema = Relation.schema rel in
   let out_schema =
@@ -7,50 +66,54 @@ let eval_aggregate ~group_by ~aggs rel =
     | Ok s -> s
     | Error m -> invalid_arg ("Reference.eval_aggregate: " ^ m)
   in
-  let groups = Rel_ops.group_by ~cols:group_by rel in
-  let agg_value members (a : Op.agg) =
-    let vals = List.map (fun tup -> Pred.eval_expr schema tup a.expr) members in
-    let dt = Pred.type_of_expr schema a.expr in
-    let as_float v = if Dtype.is_float dt then Value.to_f32 v else float_of_int v in
-    match a.fn with
-    | Count -> List.length members
-    | Sum ->
-        if Dtype.is_float dt then
-          (* accumulate in f32 like the device does *)
-          Value.of_f32
-            (List.fold_left
-               (fun acc v -> Value.to_f32 (Value.of_f32 (acc +. Value.to_f32 v)))
-               0.0 vals)
-        else List.fold_left ( + ) 0 vals
-    | Min -> (
-        match vals with
-        | [] -> 0
-        | v0 :: rest ->
-            List.fold_left
-              (fun acc v -> if Value.compare_as dt v acc < 0 then v else acc)
-              v0 rest)
-    | Max -> (
-        match vals with
-        | [] -> 0
-        | v0 :: rest ->
-            List.fold_left
-              (fun acc v -> if Value.compare_as dt v acc > 0 then v else acc)
-              v0 rest)
-    | Avg ->
-        let n = List.length vals in
-        if n = 0 then Value.of_f32 0.0
-        else
-          Value.of_f32
-            (List.fold_left (fun acc v -> acc +. as_float v) 0.0 vals
-            /. float_of_int n)
+  let n = Relation.count rel and ar = Relation.arity rel and d = Relation.data rel in
+  let cols = Array.of_list group_by in
+  let k = Array.length cols in
+  (* groups are runs of equal group words after a stable sort on them: in
+     the order [Stdlib.compare] gives the key arrays, members in input
+     order *)
+  let perm = Relation.group_perm rel ~cols:group_by in
+  let same a b =
+    let rec go c =
+      c >= k || (d.((a * ar) + cols.(c)) = d.((b * ar) + cols.(c)) && go (c + 1))
+    in
+    go 0
   in
-  let tuples =
-    List.map
-      (fun (key, members) ->
-        Array.append key (Array.of_list (List.map (agg_value members) aggs)))
-      groups
+  let first p = p = 0 || not (same perm.(p - 1) perm.(p)) in
+  let groups = ref 0 in
+  for p = 0 to n - 1 do
+    if first p then incr groups
+  done;
+  let starts = Array.make (!groups + 1) n and g = ref 0 in
+  for p = 0 to n - 1 do
+    if first p then begin
+      starts.(!g) <- p;
+      incr g
+    end
+  done;
+  let aggs =
+    Array.of_list
+      (List.map
+         (fun (a : Op.agg) ->
+           ( a.fn,
+             Pred.compile_expr schema a.expr,
+             match Pred.type_of_expr schema a.expr with
+             | t -> Ok t
+             | exception (Pred.Type_error _ as e) -> Error e ))
+         aggs)
   in
-  Relation.create out_schema tuples
+  let oa = k + Array.length aggs in
+  let out = Array.make (!groups * oa) 0 in
+  for g = 0 to !groups - 1 do
+    let lo = starts.(g) and hi = starts.(g + 1) and o = g * oa in
+    for c = 0 to k - 1 do
+      out.(o + c) <- d.((perm.(lo) * ar) + cols.(c))
+    done;
+    Array.iteri
+      (fun j (fn, f, dt) -> out.(o + k + j) <- agg_value fn f dt d ar perm lo hi)
+      aggs
+  done;
+  Relation.of_array out_schema out
 
 let eval_kind kind inputs =
   let unary () = match inputs with [ r ] -> r | _ -> invalid_arg "Reference.eval_kind: arity" in
@@ -60,8 +123,7 @@ let eval_kind kind inputs =
   match kind with
   | Op.Select p ->
       let r = unary () in
-      let schema = Relation.schema r in
-      Rel_ops.select (fun tup -> Pred.eval schema tup p) r
+      Rel_ops.select (Pred.compile (Relation.schema r) p) r
   | Op.Project cols -> Rel_ops.project cols (unary ())
   | Op.Arith outs ->
       let r = unary () in
@@ -72,9 +134,7 @@ let eval_kind kind inputs =
         | Error m -> invalid_arg ("Reference.eval_kind: " ^ m)
       in
       Rel_ops.map out_schema
-        (fun tup ->
-          Array.of_list
-            (List.map (fun (_, e) -> Pred.eval_expr schema tup e) outs))
+        (Array.of_list (List.map (fun (_, e) -> Pred.compile_expr schema e) outs))
         r
   | Op.Join { key_arity } ->
       let a, b = binary () in

@@ -1,8 +1,14 @@
-(** Oracle evaluator: runs a plan on the host with the naive algorithms.
+(** Oracle evaluator: runs a plan on the host with {!Relation_lib.Rel_ops}.
 
     Used to validate both the unfused GPU skeletons and every fused kernel
     the weaver generates: for any plan and inputs, all three must agree.
-    Also handy on its own as a plain in-memory query engine. *)
+    It is also the runtime's host fallback and Datalog's evaluator, and
+    handy on its own as a plain in-memory query engine. Operators run on
+    flat row-major arrays: predicates and expressions are staged once per
+    operator ({!Pred.compile}), and every output is written once at its
+    exact size. [test/reference_oracle.ml] keeps the list-level evaluator
+    this replaced, and a differential suite holds the two to the same
+    rows, order and exceptions. *)
 
 val eval : Plan.t -> Relation_lib.Relation.t array -> Relation_lib.Relation.t array
 (** [eval plan bases] returns one relation per plan node (indexed by node
@@ -23,4 +29,10 @@ val eval_aggregate :
   Relation_lib.Relation.t ->
   Relation_lib.Relation.t
 (** Host group-by aggregation (exposed for direct testing): output tuples
-    are [group values ++ aggregate values], sorted by group key. *)
+    are [group values ++ aggregate values], one per distinct group, in the
+    order of a stable sort on the raw group words as signed ints
+    ({!Relation_lib.Relation.group_perm}: an f32 group column sorts by its
+    bits). Each aggregate folds the group's members in input order: an
+    f32 SUM rounds through binary32 after every addition, AVG sums in
+    double; a NaN member is kept over a NaN running sum. No groups, no
+    rows: an empty input gives an empty output even with [group_by = []]. *)

@@ -1,22 +1,35 @@
-(** Host-side reference implementations of the relational algebra.
+(** Host implementations of the relational algebra, on flat row-major
+    arrays.
 
-    These are the semantic ground truth: simple, obviously-correct
-    list-level algorithms used (i) as the oracle the GPU skeletons and the
-    fused kernels are tested against, and (ii) by the reference query
-    evaluator. Set operators follow the paper's key-based semantics
-    (Table 1): keys are the first [key_arity] attributes, relations are
-    treated as sets of keys, and the surviving tuple comes from the left
-    input. All operators expect key-sorted inputs where the paper's
-    skeletons do, but sort defensively, so they accept anything. *)
+    These are the semantic ground truth: the reference query evaluator
+    ([Qplan.Reference]) runs on them, and the GPU skeletons and fused
+    kernels are tested against it. Each operator reads its inputs' data
+    in place and writes its output once, at its exact size; a row
+    function takes the input's data array and the word offset of one row.
+    The simple, obviously-correct list-level algorithms they replaced
+    live on in [test/reference_oracle.ml], the oracle's oracle, which
+    these must equal row for row, in the same order, raising the same
+    exceptions.
 
-val select : (int array -> bool) -> Relation.t -> Relation.t
-(** Keep tuples satisfying the predicate (preserves order). *)
+    Set operators follow the paper's key-based semantics (Table 1): keys
+    are the first [key_arity] attributes, relations are treated as sets
+    of keys, and the surviving tuple comes from the left input. All
+    operators expect key-sorted inputs where the paper's skeletons do,
+    but sort defensively, so they accept anything. *)
+
+val select : (int array -> int -> bool) -> Relation.t -> Relation.t
+(** [select pred r] keeps the rows at whose word offset [o] [pred data o]
+    holds, in order; [pred] is called once per row, first row first. *)
 
 val project : int list -> Relation.t -> Relation.t
 (** Keep the attributes at the given indices, in that order. *)
 
-val map : Schema.t -> (int array -> int array) -> Relation.t -> Relation.t
-(** Arithmetic operator: rewrite every tuple into the output schema. *)
+val map :
+  Schema.t -> (int array -> int -> int) array -> Relation.t -> Relation.t
+(** Arithmetic operator: attribute [j] of output row [i] is [fs.(j) data
+    o], [o] the word offset of input row [i]; rows in order, attributes
+    left to right. Raises [Invalid_argument] unless [fs] has one function
+    per output attribute. *)
 
 val join : key_arity:int -> Relation.t -> Relation.t -> Relation.t
 (** Sort-merge natural join on the key prefix: output tuples are
@@ -52,9 +65,3 @@ val sort : key_arity:int -> Relation.t -> Relation.t
 
 val unique : key_arity:int -> Relation.t -> Relation.t
 (** Drop tuples whose key equals a previous tuple's key, after sorting. *)
-
-val group_by :
-  cols:int list -> Relation.t -> (int array * int array list) list
-(** Group tuples by the values of [cols]; groups are returned sorted by
-    group key, members in input order. The group key array holds the
-    selected column values in [cols] order. *)

@@ -85,25 +85,26 @@ let f32_key w =
 external unsafe_get : int array -> int -> int = "%array_unsafe_get"
 external unsafe_set : int array -> int -> int -> unit = "%array_unsafe_set"
 
-(* Stable LSD radix sort of the row indices [0, rows) by the key prefix,
-   last key column first: each column's keys are extracted once, offset by
-   their minimum (as unsigned, so a full-range int column may wrap) and
+(* Stable LSD radix sort of the row indices [0, rows) by the columns
+   [cols] (row-major, [ar] words a row), last column first: each column's
+   keys are extracted once ([f32_key] applied where [floats.(c)]), offset
+   by their minimum (as unsigned, so a full-range int column may wrap) and
    counting-sorted one digit at a time. Digits are at most ~log2 rows (and
    16) bits wide, so the count table stays proportional to the rows. *)
-let radix_perm schema ~key_arity ~rows src =
-  let ar = Schema.arity schema in
+let radix_perm ~ar ~cols ~floats ~rows src =
   let perm = ref (Array.make rows 0) in
   for i = 0 to rows - 1 do
     unsafe_set !perm i i
   done;
-  if rows > 1 && key_arity > 0 then begin
+  if rows > 1 && Array.length cols > 0 then begin
     let tmp = ref (Array.make rows 0) in
     let keys = Array.make rows 0 in
     let rec bit_length n acc = if n = 0 then acc else bit_length (n lsr 1) (acc + 1) in
     let max_width = min 16 (bit_length rows 0) in
     let count = ref [||] in
-    for j = key_arity - 1 downto 0 do
-      if Dtype.is_float (Schema.dtype schema j) then
+    for c = Array.length cols - 1 downto 0 do
+      let j = cols.(c) in
+      if floats.(c) then
         for i = 0 to rows - 1 do
           unsafe_set keys i (f32_key (unsafe_get src ((i * ar) + j)))
         done
@@ -158,7 +159,10 @@ let sort_words schema ~key_arity ~rows ~src ~dst =
   then invalid_arg "Relation.sort_words: rows exceed the arrays";
   if rows > 0 && src == dst then
     invalid_arg "Relation.sort_words: src and dst alias";
-  let perm = radix_perm schema ~key_arity ~rows src in
+  let perm =
+    radix_perm ~ar ~rows src ~cols:(Array.init key_arity Fun.id)
+      ~floats:(Array.init key_arity (fun j -> Dtype.is_float (Schema.dtype schema j)))
+  in
   for i = 0 to rows - 1 do
     let from = unsafe_get perm i * ar and into = i * ar in
     for j = 0 to ar - 1 do
@@ -171,6 +175,16 @@ let sort ~key_arity t =
   let dst = Array.make (t.count * arity t) 0 in
   sort_words t.schema ~key_arity ~rows:t.count ~src:t.data ~dst;
   { t with data = dst }
+
+let group_perm t ~cols =
+  let ar = arity t in
+  List.iter
+    (fun c ->
+      if c < 0 || c >= ar then
+        invalid_arg (Printf.sprintf "Relation.group_perm: column %d outside [0, %d)" c ar))
+    cols;
+  let cols = Array.of_list cols in
+  radix_perm ~ar ~cols ~floats:(Array.map (fun _ -> false) cols) ~rows:t.count t.data
 
 (* The order [sort] gives rows of a flat row-major array: key columns
    compared in place (floats as f32 under [Float.compare], the rest as

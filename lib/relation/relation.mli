@@ -78,6 +78,14 @@ val sort_words :
     [dst]. Raises [Invalid_argument] if either array is shorter than
     [rows] rows, or if they are the same array and [rows > 0]. *)
 
+val group_perm : t -> cols:int list -> int array
+(** The row indices in the order of a stable sort by the words of [cols]
+    (repeats allowed), compared raw as signed ints, column by column:
+    the order [Stdlib.compare] gives the arrays of those words, so an f32
+    column sorts by its bits, not by value. Rows with equal words keep
+    input order. [cols = []] is the identity. Same radix sort as
+    {!sort_words}; raises [Invalid_argument] on a column out of range. *)
+
 val is_sorted : key_arity:int -> t -> bool
 (** Whether {!sort} would leave the relation's data unchanged: adjacent
     rows compared in place under {!sort}'s per-column order, stopping at

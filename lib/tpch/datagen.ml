@@ -15,6 +15,18 @@ let date_1998_09_01 = day_of ~year:1998 ~month:9 ~day:1
 
 let f32 = Value.of_f32
 
+(* A table of [n] rows, each written in place by [row i d o] at word
+   offset [o] of the table's one flat array. *)
+let table schema n row =
+  let ar = Schema.arity schema in
+  let d = Array.make (n * ar) 0 in
+  for i = 0 to n - 1 do
+    row i d (i * ar)
+  done;
+  Relation.of_array schema d
+
+(* Every draw is bound by [let], in the order the table's rows have always
+   drawn them, so a seed keeps generating the same data. *)
 let generate ~seed ~lineitems =
   let st = Random.State.make [| seed; 0x7bc4 |] in
   let irand n = Random.State.int st (max n 1) in
@@ -24,33 +36,33 @@ let generate ~seed ~lineitems =
   let n_suppliers = (lineitems / 50) + 1 in
   let n_nations = 25 in
   let nation =
-    Relation.create Tpch_schema.nation
-      (List.init n_nations (fun i -> [| i; 1000 + i |]))
+    table Tpch_schema.nation n_nations (fun i d o ->
+        d.(o) <- i;
+        d.(o + 1) <- 1000 + i)
   in
-  let supplier =
-    Relation.create Tpch_schema.supplier
-      (List.init n_suppliers (fun i -> [| i; irand n_nations |]))
+  let keyed_by_nation schema n =
+    table schema n (fun i d o ->
+        d.(o) <- i;
+        d.(o + 1) <- irand n_nations)
   in
-  let customer =
-    Relation.create Tpch_schema.customer
-      (List.init n_customers (fun i -> [| i; irand n_nations |]))
-  in
+  let supplier = keyed_by_nation Tpch_schema.supplier n_suppliers in
+  let customer = keyed_by_nation Tpch_schema.customer n_customers in
   let orders =
-    Relation.create Tpch_schema.orders
-      (List.init n_orders (fun i ->
-           let status = if irand 2 = 0 then Tpch_schema.ostatus_f
-                        else Tpch_schema.ostatus_o in
-           [|
-             i;
-             irand n_customers;
-             status;
-             day_of ~year:1992 ~month:1 ~day:1 + irand (6 * 365);
-           |]))
+    table Tpch_schema.orders n_orders (fun i d o ->
+        let status =
+          if irand 2 = 0 then Tpch_schema.ostatus_f else Tpch_schema.ostatus_o
+        in
+        let orderdate = day_of ~year:1992 ~month:1 ~day:1 + irand (6 * 365) in
+        let custkey = irand n_customers in
+        d.(o) <- i;
+        d.(o + 1) <- custkey;
+        d.(o + 2) <- status;
+        d.(o + 3) <- orderdate)
   in
   (* lineitems: each row belongs to a uniformly drawn order, then the
      whole table is sorted by orderkey (the dense sorted format) *)
-  let li =
-    List.init lineitems (fun _ ->
+  let lineitem =
+    table Tpch_schema.lineitem lineitems (fun _ d o ->
         let orderkey = irand n_orders in
         let orderdate = Relation.attr orders orderkey 3 in
         let shipdate = orderdate + 1 + irand 120 in
@@ -58,25 +70,34 @@ let generate ~seed ~lineitems =
         let receiptdate = shipdate + 1 + irand 30 in
         let quantity = float_of_int (1 + irand 50) in
         let price = frand 900.0 105000.0 in
-        [|
-          orderkey;
-          irand 200000;
-          irand n_suppliers;
-          f32 quantity;
-          f32 price;
-          f32 (frand 0.0 0.10);
-          f32 (frand 0.0 0.08);
-          (if shipdate > date_1995_03_15 + 200 then Tpch_schema.flag_n
-           else if irand 2 = 0 then Tpch_schema.flag_a
-           else Tpch_schema.flag_r);
+        let returnflag =
+          if shipdate > date_1995_03_15 + 200 then Tpch_schema.flag_n
+          else if irand 2 = 0 then Tpch_schema.flag_a
+          else Tpch_schema.flag_r
+        in
+        let tax = frand 0.0 0.08 in
+        let discount = frand 0.0 0.10 in
+        let suppkey = irand n_suppliers in
+        let partkey = irand 200000 in
+        d.(o) <- orderkey;
+        d.(o + 1) <- partkey;
+        d.(o + 2) <- suppkey;
+        d.(o + 3) <- f32 quantity;
+        d.(o + 4) <- f32 price;
+        d.(o + 5) <- f32 discount;
+        d.(o + 6) <- f32 tax;
+        d.(o + 7) <- returnflag;
+        d.(o + 8) <-
           (if shipdate > date_1995_03_15 then Tpch_schema.status_o
            else Tpch_schema.status_f);
-          shipdate;
-          commitdate;
-          receiptdate;
-        |])
+        d.(o + 9) <- shipdate;
+        d.(o + 10) <- commitdate;
+        d.(o + 11) <- receiptdate)
   in
-  let lineitem =
-    Relation.sort ~key_arity:1 (Relation.create Tpch_schema.lineitem li)
-  in
-  { lineitem; orders; supplier; nation; customer }
+  {
+    lineitem = Relation.sort ~key_arity:1 lineitem;
+    orders;
+    supplier;
+    nation;
+    customer;
+  }

@@ -85,8 +85,7 @@ let test_translate_sales () =
   Alcotest.(check bool) "has join" true (List.mem "JOIN" kinds);
   Alcotest.(check bool) "has arith" true (List.mem "ARITH" kinds)
 
-let test_run_sales () =
-  let q = Datalog.compile sales_src in
+let sales_inputs () =
   let st = Generator.make_state 99 in
   let items =
     Generator.random_relation ~key_range:150 ~sorted_key_arity:1 st items_schema
@@ -100,10 +99,14 @@ let test_run_sales () =
      Q > 5 filter has both outcomes *)
   let stock =
     Relation_lib.Rel_ops.map stock_schema
-      (fun t -> [| t.(0); t.(1) mod 12 |])
+      [| (fun d o -> d.(o)); (fun d o -> d.(o + 1) mod 12) |]
       stock
   in
-  let named = [ ("items", items); ("stock", stock) ] in
+  [ ("items", items); ("stock", stock) ]
+
+let test_run_sales () =
+  let q = Datalog.compile sales_src in
+  let named = sales_inputs () in
   let expected = Datalog.reference q named in
   let bases = Datalog.bind q named in
   let program = Weaver.Driver.compile q.Datalog.plan in
@@ -118,24 +121,26 @@ let test_run_sales () =
         (Relation.approx_equal r1 r2))
     expected got
 
-let test_multi_rule_union () =
-  let src =
-    {|
+let union_src =
+  {|
     .decl t(k: i32, v: i32)
     .decl small(k: i32, v: i32)
     small(K, V) :- t(K, V), V < 100.
     small(K, V) :- t(K, V), K < 3.
     .output small
     |}
-  in
-  let q = Datalog.compile src in
+
+let union_inputs () =
   let s = Schema.make [ ("k", Dtype.I32); ("v", Dtype.I32) ] in
-  let t =
-    Relation.create s
-      [
-        [| 1; 50 |]; [| 2; 500 |]; [| 4; 99 |]; [| 5; 1000 |]; [| 1; 50 |];
-      ]
-  in
+  [
+    ( "t",
+      Relation.create s
+        [ [| 1; 50 |]; [| 2; 500 |]; [| 4; 99 |]; [| 5; 1000 |]; [| 1; 50 |] ] );
+  ]
+
+let test_multi_rule_union () =
+  let q = Datalog.compile union_src in
+  let t = List.assoc "t" (union_inputs ()) in
   let expected = Datalog.reference q [ ("t", t) ] in
   let bases = Datalog.bind q [ ("t", t) ] in
   let program = Weaver.Driver.compile q.Datalog.plan in
@@ -147,23 +152,28 @@ let test_multi_rule_union () =
   (* union deduplicates on the full tuple: (1,50) appears once *)
   Alcotest.(check int) "set semantics" 3 (Relation.count r_got)
 
-let test_cross_product_rule () =
-  let src =
-    {|
+let cross_src =
+  {|
     .decl a(x: i32)
     .decl b(y: i32)
     .decl pairs(x: i32, y: i32)
     pairs(X, Y) :- a(X), b(Y).
     .output pairs
     |}
-  in
-  let q = Datalog.compile src in
+
+let cross_inputs () =
   let sa = Schema.make [ ("x", Dtype.I32) ] in
   let sb = Schema.make [ ("y", Dtype.I32) ] in
-  let a = Relation.create sa [ [| 1 |]; [| 2 |] ] in
-  let b = Relation.create sb [ [| 10 |]; [| 20 |]; [| 30 |] ] in
-  let expected = Datalog.reference q [ ("a", a); ("b", b) ] in
-  let bases = Datalog.bind q [ ("a", a); ("b", b) ] in
+  [
+    ("a", Relation.create sa [ [| 1 |]; [| 2 |] ]);
+    ("b", Relation.create sb [ [| 10 |]; [| 20 |]; [| 30 |] ]);
+  ]
+
+let test_cross_product_rule () =
+  let q = Datalog.compile cross_src in
+  let named = cross_inputs () in
+  let expected = Datalog.reference q named in
+  let bases = Datalog.bind q named in
   let program = Weaver.Driver.compile q.Datalog.plan in
   let result = Weaver.Driver.run program bases ~mode:Weaver.Runtime.Resident in
   let got = Datalog.outputs_of_sinks q result.Weaver.Runtime.sinks in
@@ -171,9 +181,8 @@ let test_cross_product_rule () =
     (Relation.equal_multiset (List.assoc "pairs" expected) (List.assoc "pairs" got));
   Alcotest.(check int) "6 pairs" 6 (Relation.count (List.assoc "pairs" got))
 
-let test_negation_and_semijoin () =
-  let src =
-    {|
+let negation_src =
+  {|
     .decl emp(id: i32, dept: i32)
     .decl oncall(id: i32)
     .decl banned(id: i32)
@@ -181,8 +190,18 @@ let test_negation_and_semijoin () =
     avail(X, D) :- emp(X, D), oncall(X), !banned(X).
     .output avail
     |}
-  in
-  let q = Datalog.compile src in
+
+let negation_inputs () =
+  let s1 = Schema.make [ ("id", Dtype.I32); ("dept", Dtype.I32) ] in
+  let s2 = Schema.make [ ("id", Dtype.I32) ] in
+  [
+    ("emp", Relation.create s1 [ [| 1; 7 |]; [| 2; 7 |]; [| 3; 8 |]; [| 2; 9 |] ]);
+    ("oncall", Relation.create s2 [ [| 1 |]; [| 2 |] ]);
+    ("banned", Relation.create s2 [ [| 2 |] ]);
+  ]
+
+let test_negation_and_semijoin () =
+  let q = Datalog.compile negation_src in
   (* oncall binds nothing new -> SEMIJOIN; !banned -> ANTIJOIN *)
   let kinds =
     List.map (fun (n : Qplan.Plan.node) -> Qplan.Op.name n.kind)
@@ -190,12 +209,7 @@ let test_negation_and_semijoin () =
   in
   Alcotest.(check bool) "has semijoin" true (List.mem "SEMIJOIN" kinds);
   Alcotest.(check bool) "has antijoin" true (List.mem "ANTIJOIN" kinds);
-  let s1 = Schema.make [ ("id", Dtype.I32); ("dept", Dtype.I32) ] in
-  let s2 = Schema.make [ ("id", Dtype.I32) ] in
-  let emp = Relation.create s1 [ [| 1; 7 |]; [| 2; 7 |]; [| 3; 8 |]; [| 2; 9 |] ] in
-  let oncall = Relation.create s2 [ [| 1 |]; [| 2 |] ] in
-  let banned = Relation.create s2 [ [| 2 |] ] in
-  let named = [ ("emp", emp); ("oncall", oncall); ("banned", banned) ] in
+  let named = negation_inputs () in
   let expected = Datalog.reference q named in
   Alcotest.(check int) "only employee 1 remains" 1
     (Relation.count (List.assoc "avail" expected));
@@ -221,20 +235,33 @@ let test_unsafe_negation_rejected () =
   | exception Datalog.Translate.Translate_error _ -> ()
   | _ -> Alcotest.fail "unsafe negation should be rejected"
 
-let test_repeated_var_and_const () =
-  let src =
-    {|
+let self_src =
+  {|
     .decl e(src: i32, dst: i32)
     .decl self(src: i32, dst: i32)
     self(X, X) :- e(X, X).
     .output self
     |}
-  in
-  let q = Datalog.compile src in
+
+let self_inputs () =
   let s = Schema.make [ ("src", Dtype.I32); ("dst", Dtype.I32) ] in
-  let e = Relation.create s [ [| 1; 1 |]; [| 1; 2 |]; [| 3; 3 |] ] in
-  let got = Datalog.reference q [ ("e", e) ] in
+  [ ("e", Relation.create s [ [| 1; 1 |]; [| 1; 2 |]; [| 3; 3 |] ]) ]
+
+let test_repeated_var_and_const () =
+  let q = Datalog.compile self_src in
+  let got = Datalog.reference q (self_inputs ()) in
   Alcotest.(check int) "self loops" 2 (Relation.count (List.assoc "self" got))
+
+(* Every query these tests run, with its inputs, for the reference
+   engine's differential suite. *)
+let queries () =
+  [
+    ("sales", sales_src, sales_inputs ());
+    ("multi-rule union", union_src, union_inputs ());
+    ("cross product", cross_src, cross_inputs ());
+    ("negation and semijoin", negation_src, negation_inputs ());
+    ("repeated var", self_src, self_inputs ());
+  ]
 
 let suite =
   [

@@ -4,6 +4,7 @@ let () =
       ("gpu", Test_gpu.suite);
       ("relation", Test_relation.suite);
       ("qplan", Test_qplan.suite);
+      ("reference-diff", Test_reference_diff.suite);
       ("optimizer", Test_optimizer.suite);
       ("expr-emit", Test_expr_emit.suite);
       ("ra", Test_ra.suite);

@@ -170,12 +170,9 @@ let build_random seed =
       (fun r ->
         let s = Relation.schema r in
         Rel_ops.map s
-          (fun t ->
-            Array.mapi
-              (fun j v ->
-                if Dtype.is_float (Schema.dtype s j) then v
-                else v mod (2 * key_range))
-              t)
+          (Array.init (Schema.arity s) (fun j d o ->
+               if Dtype.is_float (Schema.dtype s j) then d.(o + j)
+               else d.(o + j) mod (2 * key_range)))
           r)
       bases
   in

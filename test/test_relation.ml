@@ -194,7 +194,7 @@ let test_table1_project () =
 
 let test_table1_select () =
   let x = mkc [ (2, 0); (3, 1); (4, 1) ] in
-  let got = Rel_ops.select (fun t -> t.(0) = 2) x in
+  let got = Rel_ops.select (fun d o -> d.(o) = 2) x in
   Alcotest.(check int) "SELECT count" 1 (Relation.count got)
 
 let test_semijoin_antijoin () =
@@ -232,10 +232,12 @@ let test_unique_and_group_by () =
   Alcotest.(check int) "unique count" 3 (Relation.count u);
   (* unique keeps the first tuple of each run (stable) *)
   Alcotest.(check int) "keeps first" 10 (Relation.attr u 0 1);
-  let groups = Rel_ops.group_by ~cols:[ 0 ] r in
-  Alcotest.(check int) "3 groups" 3 (List.length groups);
-  let _, members = List.nth groups 2 in
-  Alcotest.(check int) "group 3 size" 2 (List.length members)
+  (* groups: a stable sort by the raw group words, members in input order *)
+  let g = mkc [ (3, 30); (1, 10); (3, 31); (-1, 11); (1, 20) ] in
+  Alcotest.(check (array int)) "group order" [| 3; 1; 4; 0; 2 |]
+    (Relation.group_perm g ~cols:[ 0 ]);
+  Alcotest.(check (array int)) "no group columns" [| 0; 1; 2; 3; 4 |]
+    (Relation.group_perm g ~cols:[])
 
 (* --- qcheck properties ----------------------------------------------------- *)
 
@@ -419,9 +421,9 @@ let prop_project_select_commute =
   QCheck.Test.make ~name:"select on key commutes with key-keeping project"
     ~count:200 arb_rel (fun l ->
       let r = to_rel l in
-      let pred t = t.(0) mod 2 = 0 in
+      let pred d o = d.(o) mod 2 = 0 in
       let a = Rel_ops.project [ 0 ] (Rel_ops.select pred r) in
-      let b = Rel_ops.select (fun t -> t.(0) mod 2 = 0) (Rel_ops.project [ 0 ] r) in
+      let b = Rel_ops.select pred (Rel_ops.project [ 0 ] r) in
       Relation.equal_multiset a b)
 
 let qcheck_cases =

@@ -208,13 +208,13 @@ let test_implicit_sort_charged () =
   let st = Generator.make_state 3 in
   let ra =
     Rel_ops.map s3
-      (fun t -> [| t.(0); t.(1) mod 50; t.(2) |])
+      [| (fun d o -> d.(o)); (fun d o -> d.(o + 1) mod 50); (fun d o -> d.(o + 2)) |]
       (Generator.random_relation ~key_range:50 ~sorted_key_arity:1 st s3
          ~count:300)
   in
   let rb =
     Rel_ops.map s2
-      (fun t -> [| t.(0) mod 50; t.(1) |])
+      [| (fun d o -> d.(o) mod 50); (fun d o -> d.(o + 1)) |]
       (Generator.random_relation ~key_range:50 st s2 ~count:200)
   in
   let rb = Relation.sort ~key_arity:1 rb in

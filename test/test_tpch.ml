@@ -129,8 +129,86 @@ let test_q21 () =
     (Printf.sprintf "largest group carries >= 3 joins (got %d)" biggest)
     true (biggest >= 3)
 
+(* The digest of every table's words for seeds 1-3 at 2,000 and 20,000
+   lineitems (lineitem, orders, supplier, nation, customer): a generator
+   change must keep drawing the same values in the same order. *)
+let datagen_pins =
+  [
+    ( 1,
+      2_000,
+      [
+        "e051ae8591d1eae478e31381eae7bf8a";
+        "e41869f75e205632539e826d254a4763";
+        "f575995d6b7185c2784c5de4fc35d452";
+        "63333deb002bcd98ef44451f3dc49765";
+        "099129a95c1711c1c65091cb32f4fb91";
+      ] );
+    ( 2,
+      2_000,
+      [
+        "786a4b9ebda3ac3d0de76d06e596d661";
+        "384fe57a6b70927194fbdb3926ddd40c";
+        "2cc3fa56b29235b199a98eb9ccc03c31";
+        "63333deb002bcd98ef44451f3dc49765";
+        "1633a6027c50b0320ad9e8d8b10bc5c4";
+      ] );
+    ( 3,
+      2_000,
+      [
+        "8fd7820fe0a6a81a8870d6b0a81db8d9";
+        "4866cc8e696e1f4fc017a95a216119a6";
+        "2ca33015a3ffa79e4ab14fd0e560acf3";
+        "63333deb002bcd98ef44451f3dc49765";
+        "494438ff3bceb0ab1f285696e41459ce";
+      ] );
+    ( 1,
+      20_000,
+      [
+        "6e7c479d89073e810c102d904850f2eb";
+        "68e4c8edf414dc0f57b98cabd3f5272f";
+        "71d8766d81df803b44dc8b797776461e";
+        "63333deb002bcd98ef44451f3dc49765";
+        "30480daeabdb86387f8f9400a3456797";
+      ] );
+    ( 2,
+      20_000,
+      [
+        "428efc3bf3db180bd63cf9fbfffff602";
+        "1726dee2e345555d1b2426e811f3c573";
+        "d9bab66f04da5fe542cc41e8ebb6e420";
+        "63333deb002bcd98ef44451f3dc49765";
+        "c1830249ab144fe566f544e4b537c550";
+      ] );
+    ( 3,
+      20_000,
+      [
+        "bdb119a299738e2950d87a63ed77eecc";
+        "2cae7ac5ea085ee019b67d64d0b04405";
+        "a3ba80ce60c5b1d794ea5d016c3b876f";
+        "63333deb002bcd98ef44451f3dc49765";
+        "6a5ce443a3fc87f4f06dc52f9192a5f1";
+      ] );
+  ]
+
+let test_datagen_pinned () =
+  let digest r =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "," (Array.to_list (Array.map string_of_int (Relation.data r)))))
+  in
+  List.iter
+    (fun (seed, lineitems, expected) ->
+      let db = Tpch.Datagen.generate ~seed ~lineitems in
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d, %d lineitems" seed lineitems)
+        expected
+        (List.map digest
+           Tpch.Datagen.[ db.lineitem; db.orders; db.supplier; db.nation; db.customer ]))
+    datagen_pins
+
 let suite =
   [
+    ("datagen digests pinned", `Quick, test_datagen_pinned);
     ("datagen", `Quick, test_datagen);
     ("patterns vs reference", `Quick, test_patterns_correct);
     ("patterns speed up", `Slow, test_patterns_speedup);
